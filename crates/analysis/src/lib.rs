@@ -54,6 +54,62 @@ pub mod stats;
 pub mod table1;
 pub mod verdict;
 
+/// Evaluates `$body` with `$alg` bound to the concrete algorithm instance
+/// of an [`AlgorithmChoice`] — the one algorithm dispatch, shared by the
+/// scenario harness, the batch sweep ([`BatchSweep`]) and the campaign
+/// executor.
+#[macro_export]
+macro_rules! with_algorithm {
+    ($choice:expr, |$alg:ident| $body:expr) => {{
+        use $crate::__algorithms::*;
+        match $choice {
+            $crate::AlgorithmChoice::Pef3Plus => {
+                let $alg = Pef3Plus::new();
+                $body
+            }
+            $crate::AlgorithmChoice::Pef2 => {
+                let $alg = Pef2::new();
+                $body
+            }
+            $crate::AlgorithmChoice::Pef1 => {
+                let $alg = Pef1::new();
+                $body
+            }
+            $crate::AlgorithmChoice::KeepDirection => {
+                let $alg = KeepDirection;
+                $body
+            }
+            $crate::AlgorithmChoice::BounceOnMissingEdge => {
+                let $alg = BounceOnMissingEdge;
+                $body
+            }
+            $crate::AlgorithmChoice::AlwaysTurnOnTower => {
+                let $alg = AlwaysTurnOnTower;
+                $body
+            }
+            $crate::AlgorithmChoice::AlternateDirection => {
+                let $alg = AlternateDirection;
+                $body
+            }
+            $crate::AlgorithmChoice::RandomDirection { seed } => {
+                let $alg = RandomDirection::new(seed);
+                $body
+            }
+        }
+    }};
+}
+
+/// The concrete algorithm types [`with_algorithm!`] binds; not part of the
+/// public API.
+#[doc(hidden)]
+pub mod __algorithms {
+    pub use dynring_core::baselines::{
+        AlternateDirection, AlwaysTurnOnTower, BounceOnMissingEdge, KeepDirection,
+        RandomDirection,
+    };
+    pub use dynring_core::{Pef1, Pef2, Pef3Plus};
+}
+
 pub use coverage::VisitLedger;
 pub use monte_carlo::{
     derive_batch_seed, run_replicas, run_replicas_with, BatchArity, BatchSweep, MonteCarloConfig,

@@ -18,10 +18,7 @@
 
 use serde::{Deserialize, Serialize};
 
-use dynring_core::baselines::{
-    AlternateDirection, AlwaysTurnOnTower, BounceOnMissingEdge, KeepDirection, RandomDirection,
-};
-use dynring_core::{Pef1, Pef2, Pef3Plus};
+use dynring_core::Pef3Plus;
 use dynring_engine::{
     BatchAlgorithm, BatchCoverage, BatchSimulator, LaneWord, Lanes128, Lanes256,
     RoundRobinSingle, LANES,
@@ -270,24 +267,7 @@ impl BatchSweep<'_> {
         if self.replicas == 0 {
             return Err(ScenarioError::NoReplicas);
         }
-        Ok(match self.algorithm {
-            AlgorithmChoice::Pef3Plus => self.sweep_with::<_, W>(Pef3Plus::new(), workers),
-            AlgorithmChoice::Pef2 => self.sweep_with::<_, W>(Pef2::new(), workers),
-            AlgorithmChoice::Pef1 => self.sweep_with::<_, W>(Pef1::new(), workers),
-            AlgorithmChoice::KeepDirection => self.sweep_with::<_, W>(KeepDirection, workers),
-            AlgorithmChoice::BounceOnMissingEdge => {
-                self.sweep_with::<_, W>(BounceOnMissingEdge, workers)
-            }
-            AlgorithmChoice::AlwaysTurnOnTower => {
-                self.sweep_with::<_, W>(AlwaysTurnOnTower, workers)
-            }
-            AlgorithmChoice::AlternateDirection => {
-                self.sweep_with::<_, W>(AlternateDirection, workers)
-            }
-            AlgorithmChoice::RandomDirection { seed } => {
-                self.sweep_with::<_, W>(RandomDirection::new(seed), workers)
-            }
-        })
+        Ok(crate::with_algorithm!(self.algorithm, |alg| self.sweep_with::<_, W>(alg, workers)))
     }
 
     /// The [`BernoulliReplicaBank`] of lockstep group `group` at arity
@@ -560,7 +540,7 @@ mod tests {
                 seen: &mut [bool],
                 missing: &mut usize,
                 first_cover: &mut Option<Time>,
-                positions: &[dynring_graph::NodeId],
+                positions: impl Iterator<Item = dynring_graph::NodeId>,
                 t: Time,
             ) {
                 for p in positions {
@@ -573,10 +553,10 @@ mod tests {
                     }
                 }
             }
-            note(&mut seen, &mut missing, &mut first_cover, &sim.positions(), 0);
+            note(&mut seen, &mut missing, &mut first_cover, sim.position_iter(), 0);
             for t in 1..=cfg.horizon {
                 sim.step_quiet();
-                note(&mut seen, &mut missing, &mut first_cover, &sim.positions(), t);
+                note(&mut seen, &mut missing, &mut first_cover, sim.position_iter(), t);
                 if missing == 0 {
                     break;
                 }
@@ -685,21 +665,17 @@ mod tests {
         let n = ring.node_count();
         let mut seen = vec![false; n];
         let mut missing = n;
-        let mut note = move |seen: &mut [bool], positions: &[dynring_graph::NodeId]| {
-            for pos in positions {
+        for t in 0..=horizon {
+            if t > 0 {
+                sim.step_quiet();
+            }
+            for pos in sim.position_iter() {
                 if !seen[pos.index()] {
                     seen[pos.index()] = true;
                     missing -= 1;
                 }
             }
-            missing == 0
-        };
-        if note(&mut seen, &sim.positions()) {
-            return Some(0);
-        }
-        for t in 1..=horizon {
-            sim.step_quiet();
-            if note(&mut seen, &sim.positions()) {
+            if missing == 0 {
                 return Some(t);
             }
         }

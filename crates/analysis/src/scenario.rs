@@ -7,10 +7,6 @@ use std::fmt;
 use serde::{Deserialize, Serialize};
 
 use dynring_adversary::{PointedEdgeBlocker, SingleRobotConfiner, SsyncBlocker, TwoRobotConfiner};
-use dynring_core::baselines::{
-    AlternateDirection, AlwaysTurnOnTower, BounceOnMissingEdge, KeepDirection, RandomDirection,
-};
-use dynring_core::{Pef1, Pef2, Pef3Plus};
 use dynring_engine::{
     Algorithm, Capturing, Chirality, Dynamics, EngineError, ExecutionTrace, Oblivious,
     RobotPlacement, RoundRobinSingle, Simulator,
@@ -157,6 +153,16 @@ impl DynamicsChoice {
             DynamicsChoice::SingleConfiner => "thm5.1-confiner",
             DynamicsChoice::TwoConfiner { .. } => "thm4.1-confiner",
             DynamicsChoice::SsyncBlocker => "ssync-blocker",
+        }
+    }
+
+    /// The scheduler a run over this dynamics actually plays: the SSYNC
+    /// blocker only makes sense under round-robin activation, so it
+    /// implies that scheduler whatever was `requested`.
+    pub fn effective_scheduler(&self, requested: SchedulerChoice) -> SchedulerChoice {
+        match self {
+            DynamicsChoice::SsyncBlocker => SchedulerChoice::SsyncRoundRobin,
+            _ => requested,
         }
     }
 
@@ -412,7 +418,23 @@ impl From<EngineError> for ScenarioError {
     }
 }
 
-fn build_dynamics(
+/// The recurrence bound every scenario run is certified against over a
+/// `horizon`-round window: generous (a quarter of the window, at least
+/// 16 rounds), so adversaries must still recur within it except for
+/// their single allowed missing edge.
+pub fn cot_recurrence_bound(horizon: Time) -> Time {
+    (horizon / 4).max(16)
+}
+
+/// Builds the dynamics of `choice` on `ring`: generator-built schedules
+/// are drawn for `horizon` rounds from `seed`; adaptive adversaries
+/// ignore both.
+///
+/// # Errors
+///
+/// [`ScenarioError`] when the choice is ill-formed for the ring (invalid
+/// probability, edge index out of range, …).
+pub fn build_dynamics(
     ring: &RingTopology,
     choice: DynamicsChoice,
     horizon: Time,
@@ -484,20 +506,17 @@ fn run_with_algorithm<A: Algorithm>(
 ) -> Result<(ExecutionTrace, CotVerdict, ScriptedSchedule), ScenarioError> {
     let capturing = Capturing::new(dynamics);
     let mut sim = Simulator::new(ring, algorithm, capturing, placements)?;
-    // The SSYNC blocker only makes sense under round-robin activation, so
-    // that dynamics implies the scheduler regardless of the scenario's own
-    // choice.
-    if matches!(scenario.scheduler, SchedulerChoice::SsyncRoundRobin)
-        || matches!(scenario.dynamics, DynamicsChoice::SsyncBlocker)
+    if scenario.dynamics.effective_scheduler(scenario.scheduler) == SchedulerChoice::SsyncRoundRobin
     {
         sim.set_activation(RoundRobinSingle);
     }
     let trace = sim.run_recording(scenario.horizon);
     let script = sim.dynamics().to_script(TailBehavior::AllPresent);
-    // A generous recurrence bound: adversaries must still recur within it
-    // (except their single allowed missing edge).
-    let bound = (scenario.horizon / 4).max(16);
-    let cot = certify_connected_over_time(&script, scenario.horizon, bound);
+    let cot = certify_connected_over_time(
+        &script,
+        scenario.horizon,
+        cot_recurrence_bound(scenario.horizon),
+    );
     Ok((trace, cot, script))
 }
 
@@ -507,28 +526,9 @@ fn dispatch(
     dynamics: Box<dyn Dynamics>,
     placements: Vec<RobotPlacement>,
 ) -> Result<(ExecutionTrace, CotVerdict, ScriptedSchedule), ScenarioError> {
-    match scenario.algorithm {
-        AlgorithmChoice::Pef3Plus => {
-            run_with_algorithm(Pef3Plus, ring, dynamics, placements, scenario)
-        }
-        AlgorithmChoice::Pef2 => run_with_algorithm(Pef2, ring, dynamics, placements, scenario),
-        AlgorithmChoice::Pef1 => run_with_algorithm(Pef1, ring, dynamics, placements, scenario),
-        AlgorithmChoice::KeepDirection => {
-            run_with_algorithm(KeepDirection, ring, dynamics, placements, scenario)
-        }
-        AlgorithmChoice::BounceOnMissingEdge => {
-            run_with_algorithm(BounceOnMissingEdge, ring, dynamics, placements, scenario)
-        }
-        AlgorithmChoice::AlwaysTurnOnTower => {
-            run_with_algorithm(AlwaysTurnOnTower, ring, dynamics, placements, scenario)
-        }
-        AlgorithmChoice::AlternateDirection => {
-            run_with_algorithm(AlternateDirection, ring, dynamics, placements, scenario)
-        }
-        AlgorithmChoice::RandomDirection { seed } => {
-            run_with_algorithm(RandomDirection::new(seed), ring, dynamics, placements, scenario)
-        }
-    }
+    crate::with_algorithm!(scenario.algorithm, |alg| {
+        run_with_algorithm(alg, ring, dynamics, placements, scenario)
+    })
 }
 
 fn report_from(

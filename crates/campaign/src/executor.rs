@@ -9,7 +9,10 @@
 //! the serial engine (SSYNC rides the word-parallel round-robin
 //! activation words, the same deterministic policy the serial engine
 //! plays). Everything else (adaptive adversaries, repaired stochastic
-//! classes, ASYNC scheduling) falls back to the serial engines. The
+//! classes, ASYNC scheduling) falls back to the serial engines, where
+//! every non-Bernoulli unit plays one quiet loop that records nothing and
+//! keeps the connected-over-time check online ([`run_unit`] reports its
+//! violations beside the record, never in it). The
 //! batch route also carries its lane arity
 //! ([`dynring_analysis::BatchArity`], picked per unit by replica count)
 //! — a pure throughput knob that never enters unit hashes or stored
@@ -25,23 +28,19 @@
 
 use serde::{Deserialize, Serialize};
 
-use dynring_analysis::scenario::SchedulerChoice;
+use dynring_analysis::scenario::{build_dynamics, cot_recurrence_bound, SchedulerChoice};
 use dynring_analysis::seeds::derive_stream_seed;
-use dynring_analysis::{BatchArity, BatchSweep, Scenario, ScenarioError};
-use dynring_core::baselines::{
-    AlternateDirection, AlwaysTurnOnTower, BounceOnMissingEdge, KeepDirection, RandomDirection,
-};
-use dynring_core::{Pef1, Pef2, Pef3Plus};
+use dynring_analysis::{with_algorithm, BatchArity, BatchSweep, ScenarioError};
 use dynring_engine::async_exec::{AsyncSimulator, ObliviousAsync};
 use dynring_engine::{
-    Algorithm, Oblivious, RobotPlacement, RoundRobinSingle, Simulator, LANES,
+    Algorithm, CotTracking, Dynamics, Oblivious, RobotPlacement, RoundRobinSingle, Simulator,
+    LANES,
 };
+use dynring_graph::classes::CotVerdict;
 use dynring_graph::{AlwaysPresent, BernoulliReplicas, EdgeSchedule, NodeId, RingTopology, Time};
 
 use crate::spec::{PlannedUnit, UnitDynamics, UnitScheduler, WorkUnit};
 use crate::CampaignError;
-
-use dynring_analysis::AlgorithmChoice;
 
 /// Where a unit executes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -187,48 +186,6 @@ pub struct UnitRecord {
     pub result: UnitMeasurement,
 }
 
-/// Dispatches `$body` with `$alg` bound to the concrete algorithm
-/// instance of an [`AlgorithmChoice`] — the serial twin of the batch
-/// dispatch inside [`BatchSweep::first_covers`].
-macro_rules! with_algorithm {
-    ($choice:expr, |$alg:ident| $body:expr) => {
-        match $choice {
-            AlgorithmChoice::Pef3Plus => {
-                let $alg = Pef3Plus::new();
-                $body
-            }
-            AlgorithmChoice::Pef2 => {
-                let $alg = Pef2::new();
-                $body
-            }
-            AlgorithmChoice::Pef1 => {
-                let $alg = Pef1::new();
-                $body
-            }
-            AlgorithmChoice::KeepDirection => {
-                let $alg = KeepDirection;
-                $body
-            }
-            AlgorithmChoice::BounceOnMissingEdge => {
-                let $alg = BounceOnMissingEdge;
-                $body
-            }
-            AlgorithmChoice::AlwaysTurnOnTower => {
-                let $alg = AlwaysTurnOnTower;
-                $body
-            }
-            AlgorithmChoice::AlternateDirection => {
-                let $alg = AlternateDirection;
-                $body
-            }
-            AlgorithmChoice::RandomDirection { seed } => {
-                let $alg = RandomDirection::new(seed);
-                $body
-            }
-        }
-    };
-}
-
 /// First-cover ledger shared by the serial loops.
 struct CoverLedger {
     seen: Vec<bool>,
@@ -241,7 +198,7 @@ impl CoverLedger {
         CoverLedger { seen: vec![false; n], missing: n, first_cover: None }
     }
 
-    fn note(&mut self, positions: &[NodeId], t: Time) {
+    fn note(&mut self, positions: impl IntoIterator<Item = NodeId>, t: Time) {
         for p in positions {
             if !self.seen[p.index()] {
                 self.seen[p.index()] = true;
@@ -258,33 +215,38 @@ impl CoverLedger {
     }
 }
 
+/// Whether a serial replica may end at its first cover. A replica whose
+/// played schedule is certified online must play the whole horizon, so
+/// the verdict covers the same window as the recording harness's.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Stop {
+    AtFirstCover,
+    AtHorizon,
+}
+
 /// One serial replica on the round simulator (FSYNC or SSYNC round-robin)
-/// over a pure schedule.
-fn serial_replica_sync<A: Algorithm, S: EdgeSchedule>(
+/// over any dynamics, on the quiet path: nothing is recorded.
+fn serial_replica_sync<A: Algorithm, D: Dynamics>(
     ring: &RingTopology,
     algorithm: A,
-    schedule: S,
+    dynamics: D,
     placements: &[RobotPlacement],
-    scheduler: UnitScheduler,
+    scheduler: SchedulerChoice,
     horizon: Time,
+    stop: Stop,
 ) -> Result<Option<Time>, ScenarioError> {
-    let mut sim = Simulator::new(
-        ring.clone(),
-        algorithm,
-        Oblivious::new(schedule),
-        placements.to_vec(),
-    )?;
-    if scheduler == UnitScheduler::Ssync {
+    let mut sim = Simulator::new(ring.clone(), algorithm, dynamics, placements.to_vec())?;
+    if scheduler == SchedulerChoice::SsyncRoundRobin {
         sim.set_activation(RoundRobinSingle);
     }
     let mut ledger = CoverLedger::new(ring.node_count());
-    ledger.note(&sim.positions(), 0);
+    ledger.note(sim.position_iter(), 0);
     for t in 1..=horizon {
-        if ledger.covered() {
+        if stop == Stop::AtFirstCover && ledger.covered() {
             break;
         }
         sim.step_quiet();
-        ledger.note(&sim.positions(), t);
+        ledger.note(sim.position_iter(), t);
     }
     Ok(ledger.first_cover)
 }
@@ -306,16 +268,25 @@ fn serial_replica_async<A: Algorithm, S: EdgeSchedule>(
         placements.to_vec(),
     )?;
     let mut ledger = CoverLedger::new(ring.node_count());
-    ledger.note(&sim.positions(), 0);
+    ledger.note(sim.position_slice().iter().copied(), 0);
     let ticks = horizon.saturating_mul(3);
     for t in 1..=ticks {
         if ledger.covered() {
             break;
         }
         sim.tick_quiet();
-        ledger.note(&sim.positions(), t);
+        ledger.note(sim.position_slice().iter().copied(), t);
     }
     Ok(ledger.first_cover)
+}
+
+/// The scheduler choice a unit's scheduler names on the round simulator.
+fn sync_scheduler(scheduler: UnitScheduler) -> SchedulerChoice {
+    match scheduler {
+        UnitScheduler::Sync => SchedulerChoice::Fsync,
+        UnitScheduler::Ssync => SchedulerChoice::SsyncRoundRobin,
+        UnitScheduler::Async => unreachable!("async units run on the async simulator"),
+    }
 }
 
 /// Runs a pure-Bernoulli unit replica-by-replica on the serial engines:
@@ -338,10 +309,11 @@ fn bernoulli_serial_first_covers(
             UnitScheduler::Sync | UnitScheduler::Ssync => serial_replica_sync(
                 &ring,
                 alg,
-                schedule,
+                Oblivious::new(schedule),
                 placements,
-                unit.scheduler,
+                sync_scheduler(unit.scheduler),
                 unit.horizon,
+                Stop::AtFirstCover,
             )?,
             UnitScheduler::Async =>
                 serial_replica_async(&ring, alg, schedule, placements, unit.horizon)?,
@@ -351,63 +323,94 @@ fn bernoulli_serial_first_covers(
     Ok(firsts)
 }
 
-/// Runs a static-ring unit on the serial engines (async scheduler
-/// included); deterministic, so the planner clamps it to one replica.
-fn static_serial_first_covers(
-    unit: &WorkUnit,
-    placements: &[RobotPlacement],
-) -> Result<Vec<Option<Time>>, ScenarioError> {
-    let ring = RingTopology::new(unit.ring_size)?;
-    let mut firsts = Vec::with_capacity(unit.replicas);
-    for _ in 0..unit.replicas {
-        let schedule = AlwaysPresent::new(ring.clone());
-        let first = with_algorithm!(unit.algorithm, |alg| match unit.scheduler {
-            UnitScheduler::Sync | UnitScheduler::Ssync => serial_replica_sync(
-                &ring,
-                alg,
-                schedule,
-                placements,
-                unit.scheduler,
-                unit.horizon,
-            )?,
-            UnitScheduler::Async =>
-                serial_replica_async(&ring, alg, schedule, placements, unit.horizon)?,
-        });
-        firsts.push(first);
-    }
-    Ok(firsts)
+/// What one quiet serial replica measured.
+#[derive(Debug)]
+pub(crate) struct QuietReplica {
+    /// Round (tick, under ASYNC) of the first complete cover.
+    pub(crate) first_cover: Option<Time>,
+    /// The connected-over-time verdict of the schedule played over the
+    /// whole horizon, certified online. `None` under ASYNC, which the
+    /// planner restricts to the static ring (trivially certified), so the
+    /// async loop may end at first cover.
+    pub(crate) cot: Option<CotVerdict>,
 }
 
-/// Runs a unit through the scenario harness (generator-built schedules
-/// and the adaptive proof adversaries): replica `r` is the scenario
-/// seeded `derive_stream_seed(unit.seed, r)`.
-fn scenario_first_covers(
+/// Replica `r` of a non-Bernoulli unit on the quiet serial loops: the
+/// dynamics of [`build_dynamics`] seeded `derive_stream_seed(unit.seed, r)`,
+/// played for the whole horizon with its connected-over-time check kept
+/// online. It measures what the recording harness
+/// ([`dynring_analysis::run_scenario`]) measures for the same scenario —
+/// first cover and verdict — without recording the run.
+pub(crate) fn quiet_replica(
     unit: &WorkUnit,
+    ring: &RingTopology,
     placements: &[RobotPlacement],
-) -> Result<Vec<Option<Time>>, ScenarioError> {
-    let dynamics = unit
+    r: usize,
+) -> Result<QuietReplica, ScenarioError> {
+    let choice = unit
         .dynamics
         .as_dynamics_choice()
-        .expect("pure Bernoulli units never take the scenario route");
-    let scheduler = match unit.scheduler {
-        UnitScheduler::Sync => SchedulerChoice::Fsync,
-        UnitScheduler::Ssync => SchedulerChoice::SsyncRoundRobin,
-        UnitScheduler::Async => unreachable!("async is restricted to oblivious dynamics"),
-    };
-    let mut firsts = Vec::with_capacity(unit.replicas);
-    for r in 0..unit.replicas {
-        let scenario = Scenario::new(
-            unit.ring_size,
-            dynring_analysis::PlacementSpec::Explicit(placements.to_vec()),
-            unit.algorithm,
-            dynamics,
-            unit.horizon,
-        )
-        .with_seed(derive_stream_seed(unit.seed, r as u64))
-        .with_scheduler(scheduler);
-        firsts.push(dynring_analysis::run_scenario(&scenario)?.first_cover);
+        .expect("pure Bernoulli units run on the replica-lane routes");
+    if unit.scheduler == UnitScheduler::Async {
+        assert!(
+            matches!(unit.dynamics, UnitDynamics::Static),
+            "the planner restricts the async scheduler to oblivious dynamics"
+        );
+        let schedule = AlwaysPresent::new(ring.clone());
+        let first_cover = with_algorithm!(unit.algorithm, |alg| {
+            serial_replica_async(ring, alg, schedule, placements, unit.horizon)?
+        });
+        return Ok(QuietReplica { first_cover, cot: None });
     }
-    Ok(firsts)
+    let dynamics =
+        build_dynamics(ring, choice, unit.horizon, derive_stream_seed(unit.seed, r as u64))?;
+    let mut tracking = CotTracking::new(dynamics);
+    let scheduler = choice.effective_scheduler(sync_scheduler(unit.scheduler));
+    let first_cover = with_algorithm!(unit.algorithm, |alg| serial_replica_sync(
+        ring,
+        alg,
+        &mut tracking,
+        placements,
+        scheduler,
+        unit.horizon,
+        Stop::AtHorizon,
+    )?);
+    let cot = Some(tracking.verdict(cot_recurrence_bound(unit.horizon)));
+    Ok(QuietReplica { first_cover, cot })
+}
+
+/// Runs a non-Bernoulli unit (generator-built schedules, the adaptive
+/// proof adversaries, the static ring under any scheduler) replica by
+/// replica on the quiet serial loops. Returns the first covers and the
+/// number of replicas whose played schedule failed the online
+/// connected-over-time check.
+fn quiet_first_covers(
+    unit: &WorkUnit,
+    placements: &[RobotPlacement],
+) -> Result<(Vec<Option<Time>>, usize), ScenarioError> {
+    let ring = RingTopology::new(unit.ring_size)?;
+    let mut firsts = Vec::with_capacity(unit.replicas);
+    let mut violations = 0;
+    for r in 0..unit.replicas {
+        let replica = quiet_replica(unit, &ring, placements, r)?;
+        if replica.cot.is_some_and(|v| !v.is_certified()) {
+            violations += 1;
+        }
+        firsts.push(replica.first_cover);
+    }
+    Ok((firsts, violations))
+}
+
+/// A unit's record plus what its execution observed beside it. The
+/// observations are out of band: they never enter the stored bytes.
+#[derive(Debug, Clone, PartialEq)]
+pub struct UnitExecution {
+    /// The record appended to the store.
+    pub record: UnitRecord,
+    /// Replicas whose played schedule failed the online
+    /// connected-over-time check (always 0 on the replica-lane routes,
+    /// whose Bernoulli streams are not certified).
+    pub cot_violations: usize,
 }
 
 /// Executes one planned unit on its natural route.
@@ -417,18 +420,20 @@ fn scenario_first_covers(
 /// [`CampaignError::Scenario`] when the unit is ill-formed for the
 /// engines (placement/ring mismatch, invalid probability, …).
 pub fn execute_unit(planned: &PlannedUnit) -> Result<UnitRecord, CampaignError> {
-    execute_unit_on(planned, route_unit(&planned.unit))
+    run_unit(planned, route_unit(&planned.unit)).map(|run| run.record)
 }
 
 /// Executes one planned unit on an explicit route — the natural one, or
 /// `Route::Serial` forced onto a batch-eligible unit (the lane-vs-serial
-/// equivalence tests; both routes must measure identical results).
+/// equivalence tests; both routes must measure identical results) — and
+/// keeps the out-of-band observations, which the campaign runner's
+/// telemetry counts.
 ///
 /// # Errors
 ///
 /// See [`execute_unit`]; additionally [`CampaignError::InvalidSpec`] when
 /// `Route::Batch` is forced onto a unit that is not batch-eligible.
-pub fn execute_unit_on(planned: &PlannedUnit, route: Route) -> Result<UnitRecord, CampaignError> {
+pub fn run_unit(planned: &PlannedUnit, route: Route) -> Result<UnitExecution, CampaignError> {
     let unit = &planned.unit;
     if route.is_batch() && !route_unit(unit).is_batch() {
         return Err(CampaignError::InvalidSpec(format!(
@@ -439,7 +444,7 @@ pub fn execute_unit_on(planned: &PlannedUnit, route: Route) -> Result<UnitRecord
         )));
     }
     let placements = unit.placement.build(unit.ring_size);
-    let firsts = match (route, unit.dynamics) {
+    let (firsts, cot_violations) = match (route, unit.dynamics) {
         (Route::Batch(arity), UnitDynamics::Bernoulli { p }) => {
             let ring = RingTopology::new(unit.ring_size).map_err(ScenarioError::from)?;
             let sweep = BatchSweep {
@@ -450,39 +455,34 @@ pub fn execute_unit_on(planned: &PlannedUnit, route: Route) -> Result<UnitRecord
                 horizon: unit.horizon,
                 replicas: unit.replicas,
                 seed: unit.seed,
-                scheduler: match unit.scheduler {
-                    UnitScheduler::Sync => SchedulerChoice::Fsync,
-                    UnitScheduler::Ssync => SchedulerChoice::SsyncRoundRobin,
-                    UnitScheduler::Async => unreachable!("eligibility checked above"),
-                },
+                scheduler: sync_scheduler(unit.scheduler),
             };
             // Thread-level sharding lives at the campaign layer (units in
             // parallel), so the sweep itself stays single-threaded.
-            sweep.first_covers_at(arity, 1)?
+            (sweep.first_covers_at(arity, 1)?, 0)
         }
         (Route::Serial, UnitDynamics::Bernoulli { p }) => {
-            bernoulli_serial_first_covers(unit, p, &placements)?
+            (bernoulli_serial_first_covers(unit, p, &placements)?, 0)
         }
-        (Route::Serial, UnitDynamics::Static) if unit.scheduler == UnitScheduler::Async => {
-            static_serial_first_covers(unit, &placements)?
-        }
-        (Route::Serial, _) => scenario_first_covers(unit, &placements)?,
+        (Route::Serial, _) => quiet_first_covers(unit, &placements)?,
         (Route::Batch(_), _) => unreachable!("eligibility checked above"),
     };
-    Ok(UnitRecord {
+    let record = UnitRecord {
         hash: planned.hash.clone(),
         index: planned.index,
         route: route.name().to_string(),
         unit: unit.clone(),
         result: UnitMeasurement::from_first_covers(&firsts),
-    })
+    };
+    Ok(UnitExecution { record, cot_violations })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::spec::{CampaignSpec, ExplicitRobot, PlacementAxis};
-    use dynring_analysis::PlacementSpec;
+    use dynring_analysis::{run_scenario, AlgorithmChoice, PlacementSpec, Scenario};
+    use proptest::prelude::*;
 
     fn unit(dynamics: UnitDynamics, scheduler: UnitScheduler) -> PlannedUnit {
         let unit = WorkUnit {
@@ -556,10 +556,10 @@ mod tests {
         // masking is exercised on the batch side while the serial side
         // never builds the padding lanes. Pinned at all three arities.
         let planned = unit(UnitDynamics::Bernoulli { p: 0.5 }, UnitScheduler::Sync);
-        let serial = execute_unit_on(&planned, Route::Serial).expect("serial runs");
+        let serial = run_unit(&planned, Route::Serial).expect("serial runs").record;
         for arity in BatchArity::ALL {
             let batch =
-                execute_unit_on(&planned, Route::Batch(arity)).expect("batch runs");
+                run_unit(&planned, Route::Batch(arity)).expect("batch runs").record;
             assert_eq!(batch.result, serial.result, "arity={}", arity.name());
             assert_eq!(batch.result.replicas, 70);
             assert!(batch.result.covered > 0, "{:?}", batch.result);
@@ -574,11 +574,11 @@ mod tests {
         // run (which plays `RoundRobinSingle` on the serial engine) — at
         // every arity, including the natural route.
         let planned = unit(UnitDynamics::Bernoulli { p: 0.7 }, UnitScheduler::Ssync);
-        let serial = execute_unit_on(&planned, Route::Serial).expect("serial runs");
+        let serial = run_unit(&planned, Route::Serial).expect("serial runs").record;
         assert_eq!(serial.route, "serial");
         for arity in BatchArity::ALL {
             let batch =
-                execute_unit_on(&planned, Route::Batch(arity)).expect("batch runs");
+                run_unit(&planned, Route::Batch(arity)).expect("batch runs").record;
             assert_eq!(batch.result, serial.result, "arity={}", arity.name());
         }
         let natural = execute_unit(&planned).expect("runs");
@@ -612,9 +612,9 @@ mod tests {
             replicas: 66,
         };
         let planned = PlannedUnit { index: 0, hash: work.content_hash(), unit: work };
-        let batch = execute_unit_on(&planned, route_unit(&planned.unit)).expect("batch runs");
+        let batch = run_unit(&planned, route_unit(&planned.unit)).expect("batch runs").record;
         assert_eq!(batch.route, "batch");
-        let serial = execute_unit_on(&planned, Route::Serial).expect("serial runs");
+        let serial = run_unit(&planned, Route::Serial).expect("serial runs").record;
         assert_eq!(batch.result, serial.result);
         assert!(batch.result.covered > 0, "{:?}", batch.result);
     }
@@ -624,7 +624,7 @@ mod tests {
         let planned = unit(UnitDynamics::Static, UnitScheduler::Sync);
         for arity in BatchArity::ALL {
             assert!(matches!(
-                execute_unit_on(&planned, Route::Batch(arity)),
+                run_unit(&planned, Route::Batch(arity)),
                 Err(CampaignError::InvalidSpec(_))
             ));
         }
@@ -734,6 +734,161 @@ mod tests {
             let expected = route_unit(&planned.unit).name();
             assert_eq!(record.route, expected);
             assert_eq!(record.result.replicas, planned.unit.replicas);
+        }
+    }
+
+    /// Every non-Bernoulli dynamics a campaign unit can name, with
+    /// `param` (≥ 1) varying its knob.
+    fn unit_dynamics(index: usize, param: u64) -> UnitDynamics {
+        match index % 9 {
+            0 => UnitDynamics::Static,
+            1 => UnitDynamics::BernoulliRecurrent { p: 0.5, bound: 2 + param },
+            2 => UnitDynamics::Markov { p_off: 0.3, p_on: 0.5 },
+            3 => UnitDynamics::SweepingOutage { dwell: param },
+            4 => UnitDynamics::TIntervalConnected { stability: param },
+            5 => UnitDynamics::PointedBlocker { budget: param },
+            6 => UnitDynamics::SingleConfiner,
+            7 => UnitDynamics::TwoConfiner { patience: 4 * param },
+            _ => UnitDynamics::SsyncBlocker,
+        }
+    }
+
+    fn work_unit(
+        n: usize,
+        k: usize,
+        algorithm: AlgorithmChoice,
+        dynamics: UnitDynamics,
+        scheduler: UnitScheduler,
+        horizon: Time,
+        seed: u64,
+    ) -> WorkUnit {
+        WorkUnit {
+            ring_size: n,
+            robots: k,
+            // The two-robot confiner expects adjacent robots; everything
+            // else starts evenly spaced.
+            placement: if matches!(dynamics, UnitDynamics::TwoConfiner { .. }) {
+                PlacementSpec::Adjacent { count: k, start: seed as usize % n }
+            } else {
+                PlacementSpec::EvenlySpaced { count: k }
+            },
+            algorithm,
+            dynamics,
+            scheduler,
+            horizon,
+            seed,
+            replicas: if dynamics.is_stochastic() { 2 } else { 1 },
+        }
+    }
+
+    /// Replays every replica of `unit` on the recording harness and on the
+    /// quiet loop; returns the recorded verdicts once both agree.
+    fn assert_quiet_equals_recorded(unit: &WorkUnit) -> Vec<CotVerdict> {
+        let ring = RingTopology::new(unit.ring_size).expect("valid ring");
+        let placements = unit.placement.build(unit.ring_size);
+        let choice = unit.dynamics.as_dynamics_choice().expect("scenario-route dynamics");
+        let mut verdicts = Vec::new();
+        for r in 0..unit.replicas {
+            let scenario = Scenario::new(
+                unit.ring_size,
+                PlacementSpec::Explicit(placements.clone()),
+                unit.algorithm,
+                choice,
+                unit.horizon,
+            )
+            .with_seed(derive_stream_seed(unit.seed, r as u64))
+            .with_scheduler(sync_scheduler(unit.scheduler));
+            let recorded = run_scenario(&scenario).expect("recorded run");
+            let quiet = quiet_replica(unit, &ring, &placements, r).expect("quiet run");
+            assert_eq!(quiet.first_cover, recorded.first_cover, "{unit:?} replica {r}");
+            assert_eq!(quiet.cot.as_ref(), Some(&recorded.cot), "{unit:?} replica {r}");
+            verdicts.push(recorded.cot);
+        }
+        verdicts
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The quiet scenario route measures what the recording harness
+        /// measures — first cover and the whole-horizon COT verdict — for
+        /// every dynamics, algorithm and sync scheduler, on horizons on
+        /// both sides of the recurrence bound's floor of 16.
+        #[test]
+        fn quiet_route_equals_the_recording_harness(
+            dynamics_index in 0usize..9,
+            algorithm_index in 0usize..8,
+            ssync in any::<bool>(),
+            (n, k_raw) in (3usize..9, 0usize..64),
+            horizon in 4u64..160,
+            (param, seed) in (1u64..8, any::<u64>()),
+        ) {
+            let k = 1 + k_raw % (n - 1);
+            let scheduler = if ssync { UnitScheduler::Ssync } else { UnitScheduler::Sync };
+            let unit = work_unit(
+                n,
+                k,
+                AlgorithmChoice::portfolio()[algorithm_index],
+                unit_dynamics(dynamics_index, param),
+                scheduler,
+                horizon,
+                seed,
+            );
+            assert_quiet_equals_recorded(&unit);
+        }
+    }
+
+    #[test]
+    fn quiet_route_reproduces_the_violated_cells() {
+        // The cells whose played schedule fails the COT check: the SSYNC
+        // blocker against one robot and the two-robot confiner against two.
+        // The SSYNC blocker forces round-robin activation, so its FSYNC
+        // units must agree with the harness too.
+        let mut violated = 0;
+        for n in 3..=8usize {
+            for algorithm in AlgorithmChoice::portfolio() {
+                for scheduler in [UnitScheduler::Sync, UnitScheduler::Ssync] {
+                    for (dynamics, k) in [
+                        (UnitDynamics::SsyncBlocker, 1),
+                        (UnitDynamics::TwoConfiner { patience: 64 }, 2),
+                    ] {
+                        if k >= n {
+                            continue;
+                        }
+                        let unit =
+                            work_unit(n, k, algorithm, dynamics, scheduler, 120, n as u64);
+                        violated += assert_quiet_equals_recorded(&unit)
+                            .iter()
+                            .filter(|v| !v.is_certified())
+                            .count();
+                    }
+                }
+            }
+        }
+        assert!(violated > 0, "the scan must reach Violated verdicts");
+    }
+
+    #[test]
+    fn only_scenario_route_violations_are_counted() {
+        let blocked = PlannedUnit {
+            index: 0,
+            hash: String::new(),
+            unit: work_unit(
+                6,
+                1,
+                AlgorithmChoice::Pef3Plus,
+                UnitDynamics::SsyncBlocker,
+                UnitScheduler::Sync,
+                200,
+                1,
+            ),
+        };
+        let run = run_unit(&blocked, Route::Serial).expect("runs");
+        assert_eq!(run.cot_violations, 1);
+        assert_eq!(run.record, execute_unit(&blocked).expect("runs"));
+        let bernoulli = unit(UnitDynamics::Bernoulli { p: 0.5 }, UnitScheduler::Sync);
+        for route in [Route::Serial, route_unit(&bernoulli.unit)] {
+            assert_eq!(run_unit(&bernoulli, route).expect("runs").cot_violations, 0);
         }
     }
 }

@@ -101,7 +101,7 @@ pub use aggregate::{aggregate, render, CampaignGroup, CampaignReport};
 pub use certify::{certify, render_verdict, CertifyFailure, CertifyOptions, CertifyVerdict};
 pub use events::{Event, EventLedger, EventRecord, LedgerAppender, LoadedLedger, EVENTS_SCHEMA};
 pub use executor::{
-    execute_unit, execute_unit_on, route_unit, Route, UnitMeasurement, UnitRecord,
+    execute_unit, route_unit, run_unit, Route, UnitExecution, UnitMeasurement, UnitRecord,
 };
 pub use fault::{FailPlan, FaultKind, ProcessFault};
 pub use merge::{merge_manifest, merge_stores, MergeOutcome};

@@ -18,7 +18,7 @@ use dynring_analysis::parallel::{available_workers, par_map};
 use dynring_obs::{labeled, names};
 
 use crate::events::{Event, EventLedger, LedgerAppender, EVENTS_SCHEMA};
-use crate::executor::{execute_unit, route_unit, UnitRecord};
+use crate::executor::{route_unit, run_unit, UnitExecution};
 use crate::fault::FailPlan;
 use crate::shard::ShardSel;
 use crate::spec::{CampaignSpec, PlannedUnit};
@@ -254,12 +254,12 @@ pub fn run_campaign(
                     std::thread::sleep(Duration::from_millis(*ms));
                 }
             }
-            (execute_unit(planned), unit_start.elapsed())
+            (run_unit(planned, route_unit(&planned.unit)), unit_start.elapsed())
         });
         for (result, wall) in results {
-            let record = result?;
-            observe_unit(obs, ledger.as_mut(), &record, wall)?;
-            appender.append_record(record)?;
+            let execution = result?;
+            observe_unit(obs, ledger.as_mut(), &execution, wall)?;
+            appender.append_record(execution.record)?;
             executed += 1;
         }
         appender.sync()?;
@@ -302,9 +302,10 @@ pub fn run_campaign(
 fn observe_unit(
     obs: &dynring_obs::Registry,
     ledger: Option<&mut LedgerAppender>,
-    record: &UnitRecord,
+    execution: &UnitExecution,
     wall: Duration,
 ) -> Result<(), CampaignError> {
+    let record = &execution.record;
     let unit = &record.unit;
     let route = route_unit(unit);
     let route_name = route.name();
@@ -332,6 +333,10 @@ fn observe_unit(
             "full"
         };
         obs.counter(&labeled(names::CAMPAIGN_SPARSE_GATHER_UNITS, &[("mode", mode)])).inc();
+    }
+    if execution.cot_violations > 0 {
+        obs.counter(&labeled(names::CAMPAIGN_COT_VIOLATIONS, &[("dynamics", unit.dynamics.name())]))
+            .add(execution.cot_violations as u64);
     }
     if let Some(app) = ledger {
         app.append(Event::Unit {

@@ -196,3 +196,70 @@ fn slow_unit_inflates_ledger_wall_time_not_bytes() {
     cleanup(&plain);
     cleanup(&slow);
 }
+
+#[test]
+fn cot_violations_are_counted_out_of_band() {
+    // The SSYNC blocker against a single robot keeps two edges absent for
+    // the whole run, so every replica fails the online COT check. The
+    // registry counts it; the unit still runs and stores exactly the
+    // measurement of the recording harness, byte-identically with or
+    // without the events ledger.
+    use dynring_analysis::{run_scenario, PlacementSpec, Scenario, SchedulerChoice};
+    use dynring_campaign::UnitMeasurement;
+
+    let spec = CampaignSpec {
+        name: "telemetry-cot-violations".into(),
+        ring_sizes: vec![6],
+        robots: vec![1],
+        placements: vec![PlacementAxis::EvenlySpaced],
+        algorithms: vec![AlgorithmChoice::Pef3Plus, AlgorithmChoice::BounceOnMissingEdge],
+        dynamics: vec![UnitDynamics::SsyncBlocker],
+        schedulers: vec![UnitScheduler::Sync, UnitScheduler::Ssync],
+        seeds: vec![5],
+        horizon: 200,
+        replicas: 1,
+    };
+    let plan = spec.plan().expect("plans");
+    let key = dynring_obs::labeled(
+        dynring_obs::names::CAMPAIGN_COT_VIOLATIONS,
+        &[("dynamics", UnitDynamics::SsyncBlocker.name())],
+    );
+    let counter = dynring_obs::global().counter(&key);
+
+    let before = counter.get();
+    let plain = temp_store("cot-plain");
+    run_campaign(&spec, &plain, &opts(None)).expect("plain run");
+    assert_eq!(counter.get() - before, plan.units.len() as u64, "one violation per replica");
+    let plain_bytes = std::fs::read(plain.path()).expect("plain bytes");
+
+    let tele = temp_store("cot-tele");
+    let ledger = EventLedger::for_store(tele.path());
+    run_campaign(&spec, &tele, &opts(Some(ledger.path().to_path_buf()))).expect("tele run");
+    assert_eq!(plain_bytes, std::fs::read(tele.path()).expect("tele bytes"));
+
+    let loaded = plain.load().expect("store loads");
+    assert_eq!(loaded.records.len(), plan.units.len());
+    for record in &loaded.records {
+        let unit = &record.unit;
+        let scheduler = match unit.scheduler {
+            UnitScheduler::Sync => SchedulerChoice::Fsync,
+            _ => SchedulerChoice::SsyncRoundRobin,
+        };
+        let recorded = run_scenario(
+            &Scenario::new(
+                unit.ring_size,
+                PlacementSpec::Explicit(unit.placement.build(unit.ring_size)),
+                unit.algorithm,
+                unit.dynamics.as_dynamics_choice().expect("scenario route"),
+                unit.horizon,
+            )
+            .with_seed(dynring_analysis::derive_stream_seed(unit.seed, 0))
+            .with_scheduler(scheduler),
+        )
+        .expect("recorded run");
+        assert!(!recorded.cot.is_certified(), "{:?}", recorded.cot);
+        assert_eq!(record.result, UnitMeasurement::from_first_covers(&[recorded.first_cover]));
+    }
+    cleanup(&plain);
+    cleanup(&tele);
+}

@@ -325,6 +325,12 @@ impl<A: Algorithm, D: AsyncDynamics> AsyncSimulator<A, D> {
         self.nodes.clone()
     }
 
+    /// Current positions, in robot-id order, borrowed (the per-tick read
+    /// of the quiet loops).
+    pub fn position_slice(&self) -> &[NodeId] {
+        &self.nodes
+    }
+
     /// Pending phase of each robot.
     pub fn phases(&self) -> Vec<PhaseKind> {
         self.phases.iter().map(Phase::kind).collect()

@@ -5,10 +5,12 @@
 //! states) — this is exactly how the impossibility proofs operate. The
 //! [`Dynamics`] trait models that; [`Oblivious`] plugs in the pure
 //! time-indexed schedules of `dynring-graph`, [`Recurrent`] repairs any
-//! dynamics to a hard recurrence bound online, and [`Capturing`] records the
+//! dynamics to a hard recurrence bound online, [`Capturing`] records the
 //! emitted snapshots so adaptive runs can be replayed as pure schedules
-//! (feeding the convergence framework).
+//! (feeding the convergence framework), and [`CotTracking`] certifies the
+//! played schedule connected-over-time online, without recording it.
 
+use dynring_graph::classes::{CotVerdict, RecurrenceGaps};
 use dynring_graph::{EdgeId, EdgeSchedule, EdgeSet, NodeId, RingTopology, ScriptedSchedule, TailBehavior, Time};
 
 use crate::RobotSnapshot;
@@ -324,7 +326,7 @@ impl<D: Dynamics> Recurrent<D> {
 // `Recurrent` keeps the refusing `probe_edges` default on purpose: its
 // per-edge absence-run bookkeeping must observe the *full* snapshot every
 // round, so sparse probing is not legal for it (same for `Capturing`,
-// which records whole frames).
+// which records whole frames, and `CotTracking`, which scans them).
 impl<D: Dynamics> Dynamics for Recurrent<D> {
     fn ring(&self) -> &RingTopology {
         self.inner.ring()
@@ -406,6 +408,52 @@ impl<D: Dynamics> Dynamics for Capturing<D> {
         // adversary still runs allocation-free.
         self.inner.edges_at_into(obs, out);
         self.frames.push(out.clone());
+    }
+}
+
+/// Feeds every snapshot emitted by `inner` into a [`RecurrenceGaps`]
+/// accumulator, so the connected-over-time verdict of the played schedule
+/// is known at the end of a run without recording it — the quiet twin of
+/// [`Capturing`] followed by
+/// [`dynring_graph::classes::certify_connected_over_time`].
+#[derive(Debug, Clone)]
+pub struct CotTracking<D> {
+    inner: D,
+    gaps: RecurrenceGaps,
+}
+
+impl<D: Dynamics> CotTracking<D> {
+    /// Wraps `inner` with an accumulator that has observed nothing yet.
+    pub fn new(inner: D) -> Self {
+        let gaps = RecurrenceGaps::new(inner.ring().edge_count());
+        CotTracking { inner, gaps }
+    }
+
+    /// The wrapped dynamics.
+    pub fn inner(&self) -> &D {
+        &self.inner
+    }
+
+    /// The connected-over-time verdict over the snapshots played so far.
+    pub fn verdict(&self, recurrence_bound: Time) -> CotVerdict {
+        self.gaps.verdict(recurrence_bound)
+    }
+}
+
+impl<D: Dynamics> Dynamics for CotTracking<D> {
+    fn ring(&self) -> &RingTopology {
+        self.inner.ring()
+    }
+
+    fn edges_at(&mut self, obs: &Observation<'_>) -> EdgeSet {
+        let set = self.inner.edges_at(obs);
+        self.gaps.observe(&set);
+        set
+    }
+
+    fn edges_at_into(&mut self, obs: &Observation<'_>, out: &mut EdgeSet) {
+        self.inner.edges_at_into(obs, out);
+        self.gaps.observe(out);
     }
 }
 
@@ -583,10 +631,51 @@ mod tests {
         assert!(!recurrent.probe_edges(&obs, &mut queries));
         assert_eq!(queries, untouched);
 
-        let mut capturing = Capturing::new(inner);
+        let mut capturing = Capturing::new(inner.clone());
         assert!(!capturing.probe_edges(&obs, &mut queries));
         assert_eq!(queries, untouched);
         assert!(capturing.frames().is_empty());
+
+        let mut tracking = CotTracking::new(inner);
+        assert!(!tracking.probe_edges(&obs, &mut queries));
+        assert_eq!(queries, untouched);
+        assert_eq!(tracking.verdict(0), CotVerdict::Certified { missing_edge: None, max_gap: 0 });
+    }
+
+    #[test]
+    fn cot_tracking_matches_the_certificate_of_the_captured_script() {
+        // An adaptive adversary that holds two edges absent for a while:
+        // the online verdict must be the post-hoc verdict of the capture.
+        let r = ring(5);
+        let inner = AdaptiveFn::new(r.clone(), |obs| {
+            let mut set = EdgeSet::full_for(obs.ring());
+            if obs.time() < 12 {
+                set.remove(EdgeId::new(1));
+            }
+            if obs.time() % 4 == 0 {
+                set.remove(EdgeId::new(3));
+            }
+            set
+        });
+        let mut tracking = CotTracking::new(Capturing::new(inner));
+        let robots: Vec<RobotSnapshot> = Vec::new();
+        for t in 0..30u64 {
+            let obs = Observation::new(t, &r, &robots);
+            let mut out = EdgeSet::empty_for(&r);
+            tracking.edges_at_into(&obs, &mut out);
+        }
+        let script = tracking.inner().to_script(TailBehavior::AllPresent);
+        for bound in [0, 1, 11, 12, 40] {
+            assert_eq!(
+                tracking.verdict(bound),
+                dynring_graph::classes::certify_connected_over_time(&script, 30, bound),
+                "bound={bound}"
+            );
+        }
+        assert_eq!(
+            tracking.verdict(1),
+            CotVerdict::Certified { missing_edge: Some(EdgeId::new(1)), max_gap: 1 }
+        );
     }
 
     #[test]

@@ -79,7 +79,9 @@ pub use batch::{
     sparse_fill_default, BatchCoverage, BatchDynamics, BatchSimulator, UniformBatch, LANES,
 };
 pub use direction::{Chirality, LocalDir};
-pub use dynamics::{AdaptiveFn, Capturing, Dynamics, EdgeProbe, Oblivious, Observation, Recurrent};
+pub use dynamics::{
+    AdaptiveFn, Capturing, CotTracking, Dynamics, EdgeProbe, Oblivious, Observation, Recurrent,
+};
 pub use error::EngineError;
 pub use robot::{RobotId, RobotPlacement, RobotSnapshot};
 pub use simulator::Simulator;

@@ -226,7 +226,13 @@ impl<A: Algorithm, D: Dynamics> Simulator<A, D> {
 
     /// Current positions, in robot-id order.
     pub fn positions(&self) -> Vec<NodeId> {
-        self.robots.iter().map(|r| r.node).collect()
+        self.position_iter().collect()
+    }
+
+    /// Current positions, in robot-id order, without allocating (the
+    /// per-round read of the quiet loops).
+    pub fn position_iter(&self) -> impl ExactSizeIterator<Item = NodeId> + '_ {
+        self.robots.iter().map(|r| r.node)
     }
 
     /// Snapshot of every robot in the current configuration.

@@ -12,6 +12,10 @@
 //! - [`certify_connected_over_time`], the certificate used by every
 //!   experiment: at most one edge may behave as "missing", every other edge
 //!   must recur within the bound.
+//!
+//! Both rest on [`RecurrenceGaps`], an online accumulator fed one snapshot
+//! per instant, so a run that never stores its schedule (the campaign's
+//! quiet scenario route) reaches the same verdict as a post-hoc scan.
 
 use serde::{Deserialize, Serialize};
 
@@ -57,6 +61,92 @@ pub fn is_connected(ring: &RingTopology, edges: &EdgeSet) -> bool {
     edges.absent_count() <= 1
 }
 
+/// Online per-edge recurrence-gap accumulator: feed it the snapshots of
+/// instants `0, 1, 2, …` in order and it tracks, per edge, the longest
+/// absence run seen so far (runs touching the window's boundaries
+/// included). [`max_recurrence_gaps`] and [`certify_connected_over_time`]
+/// are this accumulator driven over a stored schedule.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct RecurrenceGaps {
+    current: Vec<Time>,
+    best: Vec<Time>,
+}
+
+impl RecurrenceGaps {
+    /// An accumulator over `edges` edges that has observed nothing yet.
+    pub fn new(edges: usize) -> Self {
+        RecurrenceGaps {
+            current: vec![0; edges],
+            best: vec![0; edges],
+        }
+    }
+
+    /// Observes the snapshot of the next instant.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the snapshot's universe differs from the accumulator's
+    /// edge count.
+    pub fn observe(&mut self, snapshot: &EdgeSet) {
+        assert_eq!(
+            snapshot.universe(),
+            self.current.len(),
+            "snapshot universe does not match the accumulator"
+        );
+        for (i, (current, best)) in self.current.iter_mut().zip(&mut self.best).enumerate() {
+            if snapshot.contains(EdgeId::new(i)) {
+                *current = 0;
+            } else {
+                *current += 1;
+                *best = (*best).max(*current);
+            }
+        }
+    }
+
+    /// Maximum absence run per edge over the instants observed so far.
+    pub fn gaps(&self) -> &[Time] {
+        &self.best
+    }
+
+    /// The connected-over-time verdict over the instants observed so far:
+    /// at most one edge may exceed `recurrence_bound` (it plays the
+    /// eventual missing edge); two or more offenders violate the class.
+    pub fn verdict(&self, recurrence_bound: Time) -> CotVerdict {
+        let mut offenders: Vec<EdgeId> = Vec::new();
+        let mut max_ok_gap = 0;
+        for (i, &gap) in self.best.iter().enumerate() {
+            if gap > recurrence_bound {
+                offenders.push(EdgeId::new(i));
+            } else {
+                max_ok_gap = max_ok_gap.max(gap);
+            }
+        }
+        match offenders.len() {
+            0 => CotVerdict::Certified {
+                missing_edge: None,
+                max_gap: max_ok_gap,
+            },
+            1 => CotVerdict::Certified {
+                missing_edge: Some(offenders[0]),
+                max_gap: max_ok_gap,
+            },
+            _ => CotVerdict::Violated { edges: offenders },
+        }
+    }
+
+    /// Drives the accumulator over `schedule` on `[0, horizon)`.
+    fn over<S: EdgeSchedule>(schedule: &S, horizon: Time) -> Self {
+        let ring = schedule.ring();
+        let mut gaps = RecurrenceGaps::new(ring.edge_count());
+        let mut snapshot = EdgeSet::empty_for(ring);
+        for t in 0..horizon {
+            schedule.edges_at_into(t, &mut snapshot);
+            gaps.observe(&snapshot);
+        }
+        gaps
+    }
+}
+
 /// Maximum absence run per edge over `[0, horizon)`, including runs touching
 /// the window's boundaries.
 ///
@@ -65,22 +155,7 @@ pub fn is_connected(ring: &RingTopology, edges: &EdgeSet) -> bool {
 /// `g`, the edge is present at least once in every window of `g + 1`
 /// instants.
 pub fn max_recurrence_gaps<S: EdgeSchedule>(schedule: &S, horizon: Time) -> Vec<Time> {
-    let ring = schedule.ring();
-    let mut current = vec![0u64; ring.edge_count()];
-    let mut best = vec![0u64; ring.edge_count()];
-    for t in 0..horizon {
-        let snapshot = schedule.edges_at(t);
-        for e in ring.edges() {
-            let i = e.index();
-            if snapshot.contains(e) {
-                current[i] = 0;
-            } else {
-                current[i] += 1;
-                best[i] = best[i].max(current[i]);
-            }
-        }
-    }
-    best
+    RecurrenceGaps::over(schedule, horizon).best
 }
 
 /// The largest `T ≥ 1` such that the intersection of every window of `T`
@@ -209,27 +284,7 @@ pub fn certify_connected_over_time<S: EdgeSchedule>(
     horizon: Time,
     recurrence_bound: Time,
 ) -> CotVerdict {
-    let gaps = max_recurrence_gaps(schedule, horizon);
-    let mut offenders: Vec<EdgeId> = Vec::new();
-    let mut max_ok_gap = 0;
-    for (i, &gap) in gaps.iter().enumerate() {
-        if gap > recurrence_bound {
-            offenders.push(EdgeId::new(i));
-        } else {
-            max_ok_gap = max_ok_gap.max(gap);
-        }
-    }
-    match offenders.len() {
-        0 => CotVerdict::Certified {
-            missing_edge: None,
-            max_gap: max_ok_gap,
-        },
-        1 => CotVerdict::Certified {
-            missing_edge: Some(offenders[0]),
-            max_gap: max_ok_gap,
-        },
-        _ => CotVerdict::Violated { edges: offenders },
-    }
+    RecurrenceGaps::over(schedule, horizon).verdict(recurrence_bound)
 }
 
 #[cfg(test)]

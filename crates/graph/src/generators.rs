@@ -177,8 +177,8 @@ pub fn enforce_recurrence<S: EdgeSchedule>(
     bound: Time,
     exempt: Option<EdgeId>,
 ) -> ScriptedSchedule {
-    let captured = ScriptedSchedule::capture(schedule, horizon, TailBehavior::AllPresent);
-    let frames = repair_recurrence(schedule.ring(), captured.frames().to_vec(), bound, exempt);
+    let frames = (0..horizon).map(|t| schedule.edges_at(t)).collect();
+    let frames = repair_recurrence(schedule.ring(), frames, bound, exempt);
     ScriptedSchedule::new(schedule.ring().clone(), frames, TailBehavior::AllPresent)
         .expect("frames originate from the same ring")
 }

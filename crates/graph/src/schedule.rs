@@ -1239,76 +1239,6 @@ impl BernoulliReplicas {
         }
     }
 
-    /// The sparse counterpart of
-    /// [`BernoulliReplicas::presence_words_into`]: writes the presence
-    /// words of just the listed edges into their slots of `out`
-    /// (`out[e]` for each `e` in `edges`; other slots are untouched).
-    /// Duplicate edges are allowed — the stream is a pure function of
-    /// `(edge, t)`, so repeated draws store the same word. Bit-for-bit
-    /// identical to the full fill, with the same plan/prefix hoisting.
-    ///
-    /// # Panics
-    ///
-    /// Panics when an edge index is at or beyond `out.len()`; `out` is
-    /// expected to span the ring's edges as in the full fill.
-    pub fn presence_words_sparse_into(&self, t: Time, edges: &[u32], out: &mut [u64]) {
-        match SlicePlan::quantize(self.presence_probability) {
-            SlicePlan::Never => {
-                for &e in edges {
-                    out[e as usize] = 0;
-                }
-            }
-            SlicePlan::Always => {
-                for &e in edges {
-                    out[e as usize] = u64::MAX;
-                }
-            }
-            SlicePlan::Sliced { pattern, levels } => {
-                let prefix = self.time_prefix(t);
-                for &e in edges {
-                    let mut acc = 0u64;
-                    for level in 0..levels {
-                        let r = Self::draw(prefix, e as usize, level);
-                        acc = if (pattern >> level) & 1 == 1 { r | acc } else { r & acc };
-                    }
-                    out[e as usize] = acc;
-                }
-            }
-        }
-    }
-
-    /// The compact-list counterpart of
-    /// [`BernoulliReplicas::presence_words_sparse_into`]: writes the
-    /// presence word of `edges[i]` into `out[i]` (not `out[edges[i]]`),
-    /// so a caller can gather a handful of edges into a small dense
-    /// buffer instead of scattering into a ring-sized one. Duplicate
-    /// edges are allowed. Bit-for-bit identical to the full fill.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `out` is shorter than `edges`.
-    pub fn presence_list_words_into(&self, t: Time, edges: &[u32], out: &mut [u64]) {
-        assert!(
-            out.len() >= edges.len(),
-            "compact presence buffer must hold one word per listed edge"
-        );
-        match SlicePlan::quantize(self.presence_probability) {
-            SlicePlan::Never => out[..edges.len()].fill(0),
-            SlicePlan::Always => out[..edges.len()].fill(u64::MAX),
-            SlicePlan::Sliced { pattern, levels } => {
-                let prefix = self.time_prefix(t);
-                for (&e, slot) in edges.iter().zip(out.iter_mut()) {
-                    let mut acc = 0u64;
-                    for level in 0..levels {
-                        let r = Self::draw(prefix, e as usize, level);
-                        acc = if (pattern >> level) & 1 == 1 { r | acc } else { r & acc };
-                    }
-                    *slot = acc;
-                }
-            }
-        }
-    }
-
     /// The fused Look-phase gather of the lockstep batch engine: for each
     /// of the 64 lane positions `positions[l]` (node indices on the
     /// ring), packs the presence bit of that lane's clockwise edge (edge
@@ -1838,20 +1768,14 @@ mod tests {
     }
 
     #[test]
-    fn sparse_fill_matches_point_and_full_fills_for_every_edge_and_lane() {
-        // The three replica-word surfaces — point query, full fill,
-        // sparse fill (with duplicate edges in the list) — are one
+    fn full_fill_matches_point_queries_for_every_edge_and_lane() {
+        // The replica-word surfaces — point query and full fill — are one
         // stream.
         for p in [0.0, 0.3, 0.5, 0.75, 1.0] {
             let replicas = BernoulliReplicas::new(ring(13), p, 0xFACE).expect("valid p");
-            let edges: Vec<u32> = (0..13u32).chain([0, 5, 5, 12]).collect();
             let mut full = vec![0u64; 13];
-            let mut sparse = vec![0u64; 13];
             for t in 0..30u64 {
                 replicas.presence_words_into(t, &mut full);
-                sparse.fill(0);
-                replicas.presence_words_sparse_into(t, &edges, &mut sparse);
-                assert_eq!(full, sparse, "p={p} t={t}");
                 for e in replicas.ring().edges() {
                     assert_eq!(
                         full[e.index()],

@@ -528,3 +528,71 @@ proptest! {
         }
     }
 }
+
+/// Per-edge longest absence run over `[0, horizon)`, scanned edge by edge
+/// with point queries — an oracle independent of [`classes::RecurrenceGaps`].
+fn naive_gaps<S: EdgeSchedule>(schedule: &S, horizon: u64) -> Vec<u64> {
+    schedule
+        .ring()
+        .edges()
+        .map(|e| {
+            let (mut run, mut best) = (0, 0);
+            for t in 0..horizon {
+                run = if schedule.is_present(e, t) {
+                    0
+                } else {
+                    run + 1
+                };
+                best = best.max(run);
+            }
+            best
+        })
+        .collect()
+}
+
+proptest! {
+    /// The online accumulator, fed one snapshot per instant, agrees with
+    /// the stored-schedule scan (`max_recurrence_gaps`), with an
+    /// edge-by-edge oracle, and — at every bound — with
+    /// `certify_connected_over_time`, on arbitrary scripted schedules whose
+    /// window may run past the script into its tail.
+    #[test]
+    fn online_recurrence_gaps_match_the_stored_schedule_scan(
+        n in 2usize..10,
+        frames_seed in proptest::collection::vec(any::<u64>(), 0..48),
+        extra in 0u64..12,
+        tail_index in 0usize..4,
+    ) {
+        let r = RingTopology::new(n).expect("valid ring");
+        let frames: Vec<EdgeSet> = frames_seed
+            .iter()
+            .map(|&bits| {
+                // Sparse-ish frames so long absence runs actually occur.
+                let bits = bits & (bits >> 7) & (bits >> 13);
+                EdgeSet::from_indices(n, (0..n).filter(|i| (bits >> i) & 1 == 1))
+            })
+            .collect();
+        let tail = [
+            TailBehavior::HoldLast,
+            TailBehavior::Cycle,
+            TailBehavior::AllPresent,
+            TailBehavior::AllAbsent,
+        ][tail_index];
+        let script = ScriptedSchedule::new(r.clone(), frames.clone(), tail).expect("valid script");
+        let horizon = frames.len() as u64 + extra;
+        let mut online = classes::RecurrenceGaps::new(n);
+        for t in 0..horizon {
+            online.observe(&script.edges_at(t));
+        }
+        let oracle = naive_gaps(&script, horizon);
+        prop_assert_eq!(online.gaps(), oracle.as_slice());
+        prop_assert_eq!(classes::max_recurrence_gaps(&script, horizon), oracle);
+        for bound in 0..=horizon + 1 {
+            prop_assert_eq!(
+                online.verdict(bound),
+                classes::certify_connected_over_time(&script, horizon, bound),
+                "bound={}", bound
+            );
+        }
+    }
+}

@@ -25,6 +25,12 @@ pub const CAMPAIGN_BATCH_ARITY_UNITS: &str = "campaign_batch_arity_units_total";
 /// sparse-gather hit rate is `sparse / (sparse + full)`.
 pub const CAMPAIGN_SPARSE_GATHER_UNITS: &str = "campaign_sparse_gather_units_total";
 
+/// Scenario-route replicas whose played schedule failed the online
+/// connected-over-time check (two or more edges beyond the recurrence
+/// bound). Labels: `dynamics`. Counted only; such units still run and
+/// store their measurement.
+pub const CAMPAIGN_COT_VIOLATIONS: &str = "campaign_cot_violations_total";
+
 /// Runner waves completed (one fsync each). No labels.
 pub const CAMPAIGN_WAVES: &str = "campaign_waves_total";
 
@@ -71,6 +77,7 @@ pub const ALL: &[&str] = &[
     CAMPAIGN_UNIT_WALL_US,
     CAMPAIGN_BATCH_ARITY_UNITS,
     CAMPAIGN_SPARSE_GATHER_UNITS,
+    CAMPAIGN_COT_VIOLATIONS,
     CAMPAIGN_WAVES,
     CAMPAIGN_WAVE_WALL_US,
     STORE_BYTES_APPENDED,

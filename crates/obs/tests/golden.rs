@@ -17,6 +17,7 @@ fn fixture() -> Registry {
     r.counter(&labeled(names::CAMPAIGN_REPLICA_ROUNDS, &[("route", "batch")])).add(6871);
     r.counter(&labeled(names::CAMPAIGN_BATCH_ARITY_UNITS, &[("arity", "64")])).add(120);
     r.counter(&labeled(names::CAMPAIGN_SPARSE_GATHER_UNITS, &[("mode", "full")])).add(120);
+    r.counter(&labeled(names::CAMPAIGN_COT_VIOLATIONS, &[("dynamics", "ssync-blocker")])).add(2);
     r.counter(names::CAMPAIGN_WAVES).add(15);
     r.counter(names::STORE_BYTES_APPENDED).add(107_219);
     r.counter(names::STORE_FSYNCS).add(16);
@@ -79,6 +80,7 @@ fn pinned_metric_names_are_stable() {
             "campaign_unit_wall_us",
             "campaign_batch_arity_units_total",
             "campaign_sparse_gather_units_total",
+            "campaign_cot_violations_total",
             "campaign_waves_total",
             "campaign_wave_wall_us",
             "store_bytes_appended_total",

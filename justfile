@@ -45,6 +45,18 @@ batch-arity-smoke:
     cargo test -q -p dynring-core --test batch_equivalence
     cargo run --release -- montecarlo --n 16 --k 3 --p 0.5 --replicas 256 --horizon 2000 --seed 7
 
+# Campaign benchmark (see perfbench/README.md): one run of workload W
+# (`batch-bernoulli` or `serial-mix`) at the committed 55 s budget,
+# printing the end-to-end metrics as JSON. Add TRACE=1 for the per-layer
+# metrics and SEED=N for another seed.
+perfbench W SEED="1" TRACE="0":
+    cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- --workload {{W}} --seed {{SEED}} --seconds 55 --trace {{TRACE}}
+
+# The campaign benchmark's own tests (workload route mixes, metric
+# catalogue, BENCHMARK.json mirror) — what CI's perfbench-test job runs.
+perfbench-test:
+    cargo test --release --offline --manifest-path perfbench/Cargo.toml
+
 # Reproduce the paper's Table 1 from the CLI.
 table1:
     cargo run --release -- table1
