@@ -26,7 +26,7 @@ use dynring_engine::{
 use dynring_graph::{BernoulliReplicaBank, BernoulliReplicas, RingTopology, Time};
 
 use crate::parallel::{available_workers, par_map};
-use crate::scenario::{AlgorithmChoice, PlacementSpec, Scenario, ScenarioError, SchedulerChoice};
+use crate::scenario::{AlgorithmChoice, PlacementSpec, ScenarioError, SchedulerChoice};
 
 /// A fully specified Monte Carlo sweep: one `(n, k, p)` point, many
 /// Bernoulli replicas.
@@ -407,22 +407,6 @@ fn summarize(config: MonteCarloConfig, firsts: &[Option<Time>]) -> MonteCarloSum
     }
 }
 
-/// The [`Scenario`]-shaped view of a Monte Carlo point (for reports that
-/// want to pass the configuration through existing machinery).
-pub fn as_scenario(cfg: &MonteCarloConfig) -> Scenario {
-    Scenario::new(
-        cfg.ring_size,
-        PlacementSpec::EvenlySpaced { count: cfg.robots },
-        cfg.algorithm,
-        crate::scenario::DynamicsChoice::BernoulliRecurrent {
-            p: cfg.presence_probability,
-            bound: 8,
-        },
-        cfg.horizon,
-    )
-    .with_seed(cfg.seed)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -627,14 +611,6 @@ mod tests {
         );
     }
 
-    #[test]
-    fn as_scenario_round_trips_the_point() {
-        let cfg = small_cfg();
-        let scenario = as_scenario(&cfg);
-        assert_eq!(scenario.ring_size, cfg.ring_size);
-        assert_eq!(scenario.seed, cfg.seed);
-        assert_eq!(scenario.horizon, cfg.horizon);
-    }
     /// Serial-engine first cover of replica `r` of the arity-invariant
     /// numbering: lane `r % 64` of the stream seeded
     /// `derive_batch_seed(seed, r / 64)`, optionally under the serial

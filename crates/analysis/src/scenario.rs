@@ -14,8 +14,8 @@ use dynring_engine::{
 use dynring_graph::classes::{certify_connected_over_time, CotVerdict};
 use dynring_graph::generators::{self, RandomCotConfig};
 use dynring_graph::{
-    AlwaysPresent, EdgeId, GraphError, NodeId, PeriodicSchedule, RingTopology, ScriptedSchedule,
-    TailBehavior, Time,
+    AlwaysPresent, BernoulliSchedule, EdgeId, GraphError, NodeId, PeriodicSchedule, RingTopology,
+    ScriptedSchedule, TailBehavior, Time,
 };
 
 use crate::coverage::VisitLedger;
@@ -76,9 +76,16 @@ impl AlgorithmChoice {
     }
 }
 
-/// The dynamics suite, as data.
+/// The dynamics suite, as data: the one vocabulary scenarios, sweeps and
+/// campaign units name dynamics in.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub enum DynamicsChoice {
+    /// Pure Bernoulli presence, not repaired: the per-edge stream the
+    /// replica-lane batch engine executes natively.
+    Bernoulli {
+        /// Per-edge presence probability.
+        p: f64,
+    },
     /// The static ring (every edge always present).
     Static,
     /// Bernoulli presence repaired to a hard recurrence bound.
@@ -142,6 +149,7 @@ impl DynamicsChoice {
     /// Display name.
     pub fn name(&self) -> &'static str {
         match self {
+            DynamicsChoice::Bernoulli { .. } => "bernoulli",
             DynamicsChoice::Static => "static",
             DynamicsChoice::BernoulliRecurrent { .. } => "bernoulli+recurrence",
             DynamicsChoice::Markov { .. } => "markov",
@@ -154,6 +162,20 @@ impl DynamicsChoice {
             DynamicsChoice::TwoConfiner { .. } => "thm4.1-confiner",
             DynamicsChoice::SsyncBlocker => "ssync-blocker",
         }
+    }
+
+    /// Whether different seeds produce different executions. Deterministic
+    /// dynamics (the static ring, scripted outages, the proof adversaries)
+    /// need only one replica.
+    pub fn is_stochastic(&self) -> bool {
+        matches!(
+            self,
+            DynamicsChoice::Bernoulli { .. }
+                | DynamicsChoice::BernoulliRecurrent { .. }
+                | DynamicsChoice::Markov { .. }
+                | DynamicsChoice::EventualMissing { .. }
+                | DynamicsChoice::TIntervalConnected { .. }
+        )
     }
 
     /// The scheduler a run over this dynamics actually plays: the SSYNC
@@ -441,6 +463,10 @@ pub fn build_dynamics(
     seed: u64,
 ) -> Result<Box<dyn Dynamics>, ScenarioError> {
     let boxed: Box<dyn Dynamics> = match choice {
+        DynamicsChoice::Bernoulli { p } => {
+            let schedule = BernoulliSchedule::new(ring.clone(), p, seed)?;
+            Box::new(Oblivious::new(schedule))
+        }
         DynamicsChoice::Static => Box::new(Oblivious::new(AlwaysPresent::new(ring.clone()))),
         DynamicsChoice::BernoulliRecurrent { p, bound } => {
             let cfg = RandomCotConfig {
@@ -626,6 +652,25 @@ mod tests {
                 report.outcome
             );
             assert!(report.cot.is_certified(), "{dynamics:?} must be COT");
+        }
+    }
+
+    #[test]
+    fn pure_bernoulli_plays_the_unrepaired_bernoulli_stream() {
+        let scenario = Scenario::new(
+            9,
+            PlacementSpec::EvenlySpaced { count: 3 },
+            AlgorithmChoice::Pef3Plus,
+            DynamicsChoice::Bernoulli { p: 0.3 },
+            200,
+        )
+        .with_seed(11);
+        use dynring_graph::EdgeSchedule;
+        let (_, script) = run_scenario_capturing(&scenario).expect("valid scenario");
+        let ring = RingTopology::new(9).expect("valid ring");
+        let stream = BernoulliSchedule::new(ring, 0.3, 11).expect("valid probability");
+        for t in 0..200 {
+            assert_eq!(script.edges_at(t), stream.edges_at(t), "round {t}");
         }
     }
 

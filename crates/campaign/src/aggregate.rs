@@ -295,8 +295,8 @@ pub fn render(report: &CampaignReport) -> String {
 mod tests {
     use super::*;
     use crate::executor::{execute_unit, UnitMeasurement};
-    use crate::spec::{CampaignSpec, PlacementAxis, UnitDynamics, UnitScheduler};
-    use dynring_analysis::AlgorithmChoice;
+    use crate::spec::{CampaignSpec, PlacementAxis, UnitScheduler};
+    use dynring_analysis::{AlgorithmChoice, DynamicsChoice};
 
     fn spec() -> CampaignSpec {
         CampaignSpec {
@@ -305,7 +305,7 @@ mod tests {
             robots: vec![2],
             placements: vec![PlacementAxis::EvenlySpaced],
             algorithms: vec![AlgorithmChoice::Pef3Plus, AlgorithmChoice::KeepDirection],
-            dynamics: vec![UnitDynamics::Bernoulli { p: 0.6 }, UnitDynamics::Static],
+            dynamics: vec![DynamicsChoice::Bernoulli { p: 0.6 }, DynamicsChoice::Static],
             schedulers: vec![UnitScheduler::Sync],
             seeds: vec![1, 2],
             horizon: 300,

@@ -331,8 +331,8 @@ pub fn render_verdict(verdict: &CertifyVerdict) -> String {
 mod tests {
     use super::*;
     use crate::runner::{run_campaign, RunOptions};
-    use crate::spec::{PlacementAxis, UnitDynamics, UnitScheduler};
-    use dynring_analysis::AlgorithmChoice;
+    use crate::spec::{PlacementAxis, UnitScheduler};
+    use dynring_analysis::{AlgorithmChoice, DynamicsChoice};
 
     fn spec() -> CampaignSpec {
         CampaignSpec {
@@ -341,7 +341,7 @@ mod tests {
             robots: vec![1],
             placements: vec![PlacementAxis::EvenlySpaced],
             algorithms: vec![AlgorithmChoice::Pef1],
-            dynamics: vec![UnitDynamics::Bernoulli { p: 0.7 }, UnitDynamics::Static],
+            dynamics: vec![DynamicsChoice::Bernoulli { p: 0.7 }, DynamicsChoice::Static],
             schedulers: vec![UnitScheduler::Sync],
             seeds: vec![1, 2],
             horizon: 200,

@@ -30,7 +30,7 @@ use serde::{Deserialize, Serialize};
 
 use dynring_analysis::scenario::{build_dynamics, cot_recurrence_bound, SchedulerChoice};
 use dynring_analysis::seeds::derive_stream_seed;
-use dynring_analysis::{with_algorithm, BatchArity, BatchSweep, ScenarioError};
+use dynring_analysis::{with_algorithm, BatchArity, BatchSweep, DynamicsChoice, ScenarioError};
 use dynring_engine::async_exec::{AsyncSimulator, ObliviousAsync};
 use dynring_engine::{
     Algorithm, CotTracking, Dynamics, Oblivious, RobotPlacement, RoundRobinSingle, Simulator,
@@ -39,7 +39,7 @@ use dynring_engine::{
 use dynring_graph::classes::CotVerdict;
 use dynring_graph::{AlwaysPresent, BernoulliReplicas, EdgeSchedule, NodeId, RingTopology, Time};
 
-use crate::spec::{PlannedUnit, UnitDynamics, UnitScheduler, WorkUnit};
+use crate::spec::{PlannedUnit, UnitScheduler, WorkUnit};
 use crate::CampaignError;
 
 /// Where a unit executes.
@@ -84,7 +84,7 @@ impl Route {
 /// unit, so the decision is identical on every shard of every run; the
 /// arity is [`BatchArity::for_replicas`] on the unit's replica budget.
 pub fn route_unit(unit: &WorkUnit) -> Route {
-    if unit.dynamics.is_pure_bernoulli()
+    if matches!(unit.dynamics, DynamicsChoice::Bernoulli { .. })
         && matches!(unit.scheduler, UnitScheduler::Sync | UnitScheduler::Ssync)
     {
         Route::Batch(BatchArity::for_replicas(unit.replicas))
@@ -347,13 +347,9 @@ pub(crate) fn quiet_replica(
     placements: &[RobotPlacement],
     r: usize,
 ) -> Result<QuietReplica, ScenarioError> {
-    let choice = unit
-        .dynamics
-        .as_dynamics_choice()
-        .expect("pure Bernoulli units run on the replica-lane routes");
     if unit.scheduler == UnitScheduler::Async {
         assert!(
-            matches!(unit.dynamics, UnitDynamics::Static),
+            matches!(unit.dynamics, DynamicsChoice::Static),
             "the planner restricts the async scheduler to oblivious dynamics"
         );
         let schedule = AlwaysPresent::new(ring.clone());
@@ -362,10 +358,10 @@ pub(crate) fn quiet_replica(
         });
         return Ok(QuietReplica { first_cover, cot: None });
     }
-    let dynamics =
-        build_dynamics(ring, choice, unit.horizon, derive_stream_seed(unit.seed, r as u64))?;
+    let seed = derive_stream_seed(unit.seed, r as u64);
+    let dynamics = build_dynamics(ring, unit.dynamics, unit.horizon, seed)?;
     let mut tracking = CotTracking::new(dynamics);
-    let scheduler = choice.effective_scheduler(sync_scheduler(unit.scheduler));
+    let scheduler = unit.dynamics.effective_scheduler(sync_scheduler(unit.scheduler));
     let first_cover = with_algorithm!(unit.algorithm, |alg| serial_replica_sync(
         ring,
         alg,
@@ -445,7 +441,7 @@ pub fn run_unit(planned: &PlannedUnit, route: Route) -> Result<UnitExecution, Ca
     }
     let placements = unit.placement.build(unit.ring_size);
     let (firsts, cot_violations) = match (route, unit.dynamics) {
-        (Route::Batch(arity), UnitDynamics::Bernoulli { p }) => {
+        (Route::Batch(arity), DynamicsChoice::Bernoulli { p }) => {
             let ring = RingTopology::new(unit.ring_size).map_err(ScenarioError::from)?;
             let sweep = BatchSweep {
                 algorithm: unit.algorithm,
@@ -461,7 +457,7 @@ pub fn run_unit(planned: &PlannedUnit, route: Route) -> Result<UnitExecution, Ca
             // parallel), so the sweep itself stays single-threaded.
             (sweep.first_covers_at(arity, 1)?, 0)
         }
-        (Route::Serial, UnitDynamics::Bernoulli { p }) => {
+        (Route::Serial, DynamicsChoice::Bernoulli { p }) => {
             (bernoulli_serial_first_covers(unit, p, &placements)?, 0)
         }
         (Route::Serial, _) => quiet_first_covers(unit, &placements)?,
@@ -484,7 +480,7 @@ mod tests {
     use dynring_analysis::{run_scenario, AlgorithmChoice, PlacementSpec, Scenario};
     use proptest::prelude::*;
 
-    fn unit(dynamics: UnitDynamics, scheduler: UnitScheduler) -> PlannedUnit {
+    fn unit(dynamics: DynamicsChoice, scheduler: UnitScheduler) -> PlannedUnit {
         let unit = WorkUnit {
             ring_size: 6,
             robots: 3,
@@ -505,7 +501,7 @@ mod tests {
         // batch iff (pure Bernoulli, FSYNC or SSYNC); every other
         // combination is serial. The 70-replica test units pad to two
         // 64-lane groups or one 128-lane group — the tie goes wide.
-        let b = UnitDynamics::Bernoulli { p: 0.5 };
+        let b = DynamicsChoice::Bernoulli { p: 0.5 };
         assert_eq!(
             route_unit(&unit(b, UnitScheduler::Sync).unit),
             Route::Batch(BatchArity::Lanes128)
@@ -516,15 +512,17 @@ mod tests {
         );
         assert_eq!(route_unit(&unit(b, UnitScheduler::Async).unit), Route::Serial);
         for dynamics in [
-            UnitDynamics::Static,
-            UnitDynamics::BernoulliRecurrent { p: 0.5, bound: 8 },
-            UnitDynamics::Markov { p_off: 0.15, p_on: 0.4 },
-            UnitDynamics::SweepingOutage { dwell: 3 },
-            UnitDynamics::TIntervalConnected { stability: 4 },
-            UnitDynamics::PointedBlocker { budget: 4 },
-            UnitDynamics::SingleConfiner,
-            UnitDynamics::TwoConfiner { patience: 64 },
-            UnitDynamics::SsyncBlocker,
+            DynamicsChoice::Static,
+            DynamicsChoice::BernoulliRecurrent { p: 0.5, bound: 8 },
+            DynamicsChoice::Markov { p_off: 0.15, p_on: 0.4 },
+            DynamicsChoice::SweepingOutage { dwell: 3 },
+            DynamicsChoice::TIntervalConnected { stability: 4 },
+            DynamicsChoice::PointedBlocker { budget: 4 },
+            DynamicsChoice::SingleConfiner,
+            DynamicsChoice::TwoConfiner { patience: 64 },
+            DynamicsChoice::SsyncBlocker,
+            DynamicsChoice::EventualMissing { p: 0.5, bound: 8, edge: 0, from: 10 },
+            DynamicsChoice::AlternatingHoles,
         ] {
             assert_eq!(
                 route_unit(&unit(dynamics, UnitScheduler::Sync).unit),
@@ -538,7 +536,7 @@ mod tests {
         // width the engine happened to pick.
         let record = execute_unit(&unit(b, UnitScheduler::Sync)).expect("runs");
         assert_eq!(record.route, "batch");
-        let record = execute_unit(&unit(UnitDynamics::Static, UnitScheduler::Sync))
+        let record = execute_unit(&unit(DynamicsChoice::Static, UnitScheduler::Sync))
             .expect("runs");
         assert_eq!(record.route, "serial");
         // The arity accessor: observable on the route, absent serially.
@@ -555,7 +553,7 @@ mod tests {
         // a partial one, or one padded wide group), so the ghost-lane
         // masking is exercised on the batch side while the serial side
         // never builds the padding lanes. Pinned at all three arities.
-        let planned = unit(UnitDynamics::Bernoulli { p: 0.5 }, UnitScheduler::Sync);
+        let planned = unit(DynamicsChoice::Bernoulli { p: 0.5 }, UnitScheduler::Sync);
         let serial = run_unit(&planned, Route::Serial).expect("serial runs").record;
         for arity in BatchArity::ALL {
             let batch =
@@ -573,7 +571,7 @@ mod tests {
         // its stored record must be byte-identical to the forced-serial
         // run (which plays `RoundRobinSingle` on the serial engine) — at
         // every arity, including the natural route.
-        let planned = unit(UnitDynamics::Bernoulli { p: 0.7 }, UnitScheduler::Ssync);
+        let planned = unit(DynamicsChoice::Bernoulli { p: 0.7 }, UnitScheduler::Ssync);
         let serial = run_unit(&planned, Route::Serial).expect("serial runs").record;
         assert_eq!(serial.route, "serial");
         for arity in BatchArity::ALL {
@@ -605,7 +603,7 @@ mod tests {
             robots: 3,
             placement: PlacementSpec::Explicit(placements),
             algorithm: AlgorithmChoice::Pef3Plus,
-            dynamics: UnitDynamics::Bernoulli { p: 0.5 },
+            dynamics: DynamicsChoice::Bernoulli { p: 0.5 },
             scheduler: UnitScheduler::Sync,
             horizon: 500,
             seed: 0xBEEF,
@@ -621,7 +619,7 @@ mod tests {
 
     #[test]
     fn forcing_batch_onto_ineligible_units_errors() {
-        let planned = unit(UnitDynamics::Static, UnitScheduler::Sync);
+        let planned = unit(DynamicsChoice::Static, UnitScheduler::Sync);
         for arity in BatchArity::ALL {
             assert!(matches!(
                 run_unit(&planned, Route::Batch(arity)),
@@ -632,13 +630,13 @@ mod tests {
 
     #[test]
     fn ssync_and_async_schedulers_produce_plausible_covers() {
-        let sync = execute_unit(&unit(UnitDynamics::Bernoulli { p: 0.9 }, UnitScheduler::Sync))
+        let sync = execute_unit(&unit(DynamicsChoice::Bernoulli { p: 0.9 }, UnitScheduler::Sync))
             .expect("runs");
         let ssync =
-            execute_unit(&unit(UnitDynamics::Bernoulli { p: 0.9 }, UnitScheduler::Ssync))
+            execute_unit(&unit(DynamicsChoice::Bernoulli { p: 0.9 }, UnitScheduler::Ssync))
                 .expect("runs");
         let asynch =
-            execute_unit(&unit(UnitDynamics::Bernoulli { p: 0.9 }, UnitScheduler::Async))
+            execute_unit(&unit(DynamicsChoice::Bernoulli { p: 0.9 }, UnitScheduler::Async))
                 .expect("runs");
         assert_eq!(ssync.route, "batch");
         assert_eq!(asynch.route, "serial");
@@ -661,7 +659,7 @@ mod tests {
             robots: 1,
             placement: PlacementSpec::EvenlySpaced { count: 1 },
             algorithm: AlgorithmChoice::Pef3Plus,
-            dynamics: UnitDynamics::SingleConfiner,
+            dynamics: DynamicsChoice::SingleConfiner,
             scheduler: UnitScheduler::Sync,
             horizon: 400,
             seed: 1,
@@ -679,7 +677,7 @@ mod tests {
         // A batch-route unit over evenly-spaced placements is exactly a
         // Monte Carlo sweep point: same seeds, same first covers.
         use dynring_analysis::{run_replicas_with, MonteCarloConfig};
-        let planned = unit(UnitDynamics::Bernoulli { p: 0.5 }, UnitScheduler::Sync);
+        let planned = unit(DynamicsChoice::Bernoulli { p: 0.5 }, UnitScheduler::Sync);
         let record = execute_unit(&planned).expect("runs");
         let cfg = MonteCarloConfig {
             ring_size: 6,
@@ -700,9 +698,9 @@ mod tests {
     #[test]
     fn scenario_route_units_replay_bit_for_bit() {
         for dynamics in [
-            UnitDynamics::BernoulliRecurrent { p: 0.5, bound: 8 },
-            UnitDynamics::Markov { p_off: 0.2, p_on: 0.4 },
-            UnitDynamics::PointedBlocker { budget: 3 },
+            DynamicsChoice::BernoulliRecurrent { p: 0.5, bound: 8 },
+            DynamicsChoice::Markov { p_off: 0.2, p_on: 0.4 },
+            DynamicsChoice::PointedBlocker { budget: 3 },
         ] {
             let planned = unit(dynamics, UnitScheduler::Sync);
             let a = execute_unit(&planned).expect("runs");
@@ -721,7 +719,7 @@ mod tests {
             robots: vec![2],
             placements: vec![PlacementAxis::EvenlySpaced, PlacementAxis::Adjacent { start: 1 }],
             algorithms: vec![AlgorithmChoice::Pef3Plus],
-            dynamics: vec![UnitDynamics::Bernoulli { p: 0.6 }, UnitDynamics::Static],
+            dynamics: vec![DynamicsChoice::Bernoulli { p: 0.6 }, DynamicsChoice::Static],
             schedulers: vec![UnitScheduler::Sync, UnitScheduler::Ssync, UnitScheduler::Async],
             seeds: vec![3],
             horizon: 300,
@@ -738,18 +736,26 @@ mod tests {
     }
 
     /// Every non-Bernoulli dynamics a campaign unit can name, with
-    /// `param` (≥ 1) varying its knob.
-    fn unit_dynamics(index: usize, param: u64) -> UnitDynamics {
-        match index % 9 {
-            0 => UnitDynamics::Static,
-            1 => UnitDynamics::BernoulliRecurrent { p: 0.5, bound: 2 + param },
-            2 => UnitDynamics::Markov { p_off: 0.3, p_on: 0.5 },
-            3 => UnitDynamics::SweepingOutage { dwell: param },
-            4 => UnitDynamics::TIntervalConnected { stability: param },
-            5 => UnitDynamics::PointedBlocker { budget: param },
-            6 => UnitDynamics::SingleConfiner,
-            7 => UnitDynamics::TwoConfiner { patience: 4 * param },
-            _ => UnitDynamics::SsyncBlocker,
+    /// `param` (≥ 1) varying its knob. The dying edge of
+    /// `EventualMissing` is below 3, so it exists on every ring tested.
+    fn unit_dynamics(index: usize, param: u64) -> DynamicsChoice {
+        match index % 11 {
+            0 => DynamicsChoice::Static,
+            1 => DynamicsChoice::BernoulliRecurrent { p: 0.5, bound: 2 + param },
+            2 => DynamicsChoice::Markov { p_off: 0.3, p_on: 0.5 },
+            3 => DynamicsChoice::SweepingOutage { dwell: param },
+            4 => DynamicsChoice::TIntervalConnected { stability: param },
+            5 => DynamicsChoice::PointedBlocker { budget: param },
+            6 => DynamicsChoice::SingleConfiner,
+            7 => DynamicsChoice::TwoConfiner { patience: 4 * param },
+            8 => DynamicsChoice::EventualMissing {
+                p: 0.5,
+                bound: 2 + param,
+                edge: param as usize % 3,
+                from: 8 * param,
+            },
+            9 => DynamicsChoice::AlternatingHoles,
+            _ => DynamicsChoice::SsyncBlocker,
         }
     }
 
@@ -757,7 +763,7 @@ mod tests {
         n: usize,
         k: usize,
         algorithm: AlgorithmChoice,
-        dynamics: UnitDynamics,
+        dynamics: DynamicsChoice,
         scheduler: UnitScheduler,
         horizon: Time,
         seed: u64,
@@ -767,7 +773,7 @@ mod tests {
             robots: k,
             // The two-robot confiner expects adjacent robots; everything
             // else starts evenly spaced.
-            placement: if matches!(dynamics, UnitDynamics::TwoConfiner { .. }) {
+            placement: if matches!(dynamics, DynamicsChoice::TwoConfiner { .. }) {
                 PlacementSpec::Adjacent { count: k, start: seed as usize % n }
             } else {
                 PlacementSpec::EvenlySpaced { count: k }
@@ -786,14 +792,13 @@ mod tests {
     fn assert_quiet_equals_recorded(unit: &WorkUnit) -> Vec<CotVerdict> {
         let ring = RingTopology::new(unit.ring_size).expect("valid ring");
         let placements = unit.placement.build(unit.ring_size);
-        let choice = unit.dynamics.as_dynamics_choice().expect("scenario-route dynamics");
         let mut verdicts = Vec::new();
         for r in 0..unit.replicas {
             let scenario = Scenario::new(
                 unit.ring_size,
                 PlacementSpec::Explicit(placements.clone()),
                 unit.algorithm,
-                choice,
+                unit.dynamics,
                 unit.horizon,
             )
             .with_seed(derive_stream_seed(unit.seed, r as u64))
@@ -816,7 +821,7 @@ mod tests {
         /// both sides of the recurrence bound's floor of 16.
         #[test]
         fn quiet_route_equals_the_recording_harness(
-            dynamics_index in 0usize..9,
+            dynamics_index in 0usize..11,
             algorithm_index in 0usize..8,
             ssync in any::<bool>(),
             (n, k_raw) in (3usize..9, 0usize..64),
@@ -849,8 +854,8 @@ mod tests {
             for algorithm in AlgorithmChoice::portfolio() {
                 for scheduler in [UnitScheduler::Sync, UnitScheduler::Ssync] {
                     for (dynamics, k) in [
-                        (UnitDynamics::SsyncBlocker, 1),
-                        (UnitDynamics::TwoConfiner { patience: 64 }, 2),
+                        (DynamicsChoice::SsyncBlocker, 1),
+                        (DynamicsChoice::TwoConfiner { patience: 64 }, 2),
                     ] {
                         if k >= n {
                             continue;
@@ -877,7 +882,7 @@ mod tests {
                 6,
                 1,
                 AlgorithmChoice::Pef3Plus,
-                UnitDynamics::SsyncBlocker,
+                DynamicsChoice::SsyncBlocker,
                 UnitScheduler::Sync,
                 200,
                 1,
@@ -886,7 +891,7 @@ mod tests {
         let run = run_unit(&blocked, Route::Serial).expect("runs");
         assert_eq!(run.cot_violations, 1);
         assert_eq!(run.record, execute_unit(&blocked).expect("runs"));
-        let bernoulli = unit(UnitDynamics::Bernoulli { p: 0.5 }, UnitScheduler::Sync);
+        let bernoulli = unit(DynamicsChoice::Bernoulli { p: 0.5 }, UnitScheduler::Sync);
         for route in [Route::Serial, route_unit(&bernoulli.unit)] {
             assert_eq!(run_unit(&bernoulli, route).expect("runs").cot_violations, 0);
         }

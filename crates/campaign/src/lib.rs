@@ -44,10 +44,10 @@
 //! # Example
 //!
 //! ```rust
-//! use dynring_analysis::AlgorithmChoice;
+//! use dynring_analysis::{AlgorithmChoice, DynamicsChoice};
 //! use dynring_campaign::{
 //!     run_campaign, load_report, CampaignSpec, PlacementAxis, ResultStore, RunOptions,
-//!     UnitDynamics, UnitScheduler,
+//!     UnitScheduler,
 //! };
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -57,7 +57,7 @@
 //!     robots: vec![3],
 //!     placements: vec![PlacementAxis::EvenlySpaced],
 //!     algorithms: vec![AlgorithmChoice::Pef3Plus],
-//!     dynamics: vec![UnitDynamics::Bernoulli { p: 0.5 }],
+//!     dynamics: vec![DynamicsChoice::Bernoulli { p: 0.5 }],
 //!     schedulers: vec![UnitScheduler::Sync],
 //!     seeds: vec![7],
 //!     horizon: 200,
@@ -110,17 +110,20 @@ pub use metrics::{
     LedgerSummary, MetricsGroup,
 };
 pub use runner::{load_report, run_campaign, RunOptions, RunOutcome};
-pub use shard::{
-    shard_range, ShardEntry, ShardManifest, ShardSel, MANIFEST_SCHEMA, MANIFEST_SCHEMA_V1,
-};
+pub use shard::{shard_range, ShardEntry, ShardManifest, ShardSel, MANIFEST_SCHEMA};
 pub use supervise::{
     render_progress, shard_progress, supervise, ShardFailure, ShardProgress,
     SuperviseOptions, SuperviseOutcome,
 };
 pub use spec::{
-    CampaignPlan, CampaignSpec, ExplicitRobot, PlacementAxis, PlannedUnit, UnitDynamics,
-    UnitScheduler, WorkUnit,
+    CampaignPlan, CampaignSpec, ExplicitRobot, PlacementAxis, PlannedUnit, UnitScheduler,
+    WorkUnit,
 };
+/// The campaign's former name for [`dynring_analysis::DynamicsChoice`],
+/// kept only because the benchmark package (`perfbench/`) still imports
+/// it. Campaign code names `DynamicsChoice`.
+#[doc(hidden)]
+pub use dynring_analysis::DynamicsChoice as UnitDynamics;
 pub use store::{LoadedStore, ResultStore, StoreAppender, StoreHeader, StoreLine};
 pub use trace::{ChainedRecord, StoreFooter, ENGINE_VERSION, STORE_SCHEMA};
 

@@ -262,8 +262,8 @@ mod tests {
     use super::*;
     use crate::runner::{run_campaign, RunOptions};
     use crate::shard::ShardSel;
-    use crate::spec::{PlacementAxis, UnitDynamics, UnitScheduler};
-    use dynring_analysis::AlgorithmChoice;
+    use crate::spec::{PlacementAxis, UnitScheduler};
+    use dynring_analysis::{AlgorithmChoice, DynamicsChoice};
 
     fn spec() -> CampaignSpec {
         CampaignSpec {
@@ -272,7 +272,7 @@ mod tests {
             robots: vec![1, 2],
             placements: vec![PlacementAxis::EvenlySpaced],
             algorithms: vec![AlgorithmChoice::Pef3Plus],
-            dynamics: vec![UnitDynamics::Bernoulli { p: 0.6 }, UnitDynamics::Static],
+            dynamics: vec![DynamicsChoice::Bernoulli { p: 0.6 }, DynamicsChoice::Static],
             schedulers: vec![UnitScheduler::Sync],
             seeds: vec![1, 2],
             horizon: 120,

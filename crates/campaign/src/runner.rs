@@ -385,8 +385,8 @@ pub fn load_report(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::spec::{PlacementAxis, UnitDynamics, UnitScheduler};
-    use dynring_analysis::AlgorithmChoice;
+    use crate::spec::{PlacementAxis, UnitScheduler};
+    use dynring_analysis::{AlgorithmChoice, DynamicsChoice};
 
     fn spec() -> CampaignSpec {
         CampaignSpec {
@@ -395,7 +395,7 @@ mod tests {
             robots: vec![1, 2],
             placements: vec![PlacementAxis::EvenlySpaced],
             algorithms: vec![AlgorithmChoice::Pef3Plus],
-            dynamics: vec![UnitDynamics::Bernoulli { p: 0.6 }, UnitDynamics::Static],
+            dynamics: vec![DynamicsChoice::Bernoulli { p: 0.6 }, DynamicsChoice::Static],
             schedulers: vec![UnitScheduler::Sync, UnitScheduler::Ssync],
             seeds: vec![1, 2],
             horizon: 250,

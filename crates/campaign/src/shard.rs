@@ -25,8 +25,8 @@
 //! of the next generation are appended covering the rest. The entries of
 //! a v2 manifest therefore form an arbitrary exact partition of the plan
 //! (validated as such) instead of the canonical balanced one — but they
-//! are still disjoint and complete, so the merge story is unchanged. v1
-//! manifests (always canonical) still load.
+//! are still disjoint and complete, so the merge story is unchanged. A
+//! manifest of any other schema (v1 included) is refused by name.
 
 use std::fs::File;
 use std::io::Write;
@@ -40,10 +40,6 @@ use crate::CampaignError;
 
 /// The manifest schema generation (bumped on shape changes).
 pub const MANIFEST_SCHEMA: &str = "dynring-shard-manifest-v2";
-
-/// The previous manifest schema (canonical balanced partitions only);
-/// still accepted by [`ShardManifest::load`].
-pub const MANIFEST_SCHEMA_V1: &str = "dynring-shard-manifest-v1";
 
 /// Which slice of the plan a run executes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -123,7 +119,7 @@ pub fn shard_range(total: usize, count: usize, index: usize) -> Range<usize> {
 }
 
 /// One shard's slot in the manifest.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ShardEntry {
     /// 0-based shard index.
     pub index: usize,
@@ -138,7 +134,7 @@ pub struct ShardEntry {
     /// supervisor resumed after a crash sees the true retry history.
     pub attempts: usize,
     /// Split generation: 0 for the original shards, parent's generation
-    /// + 1 for sub-shards created by a steal. (v1 manifests: always 0.)
+    /// + 1 for sub-shards created by a steal.
     pub generation: usize,
     /// The entry this sub-shard was split from (`None` for the original
     /// shards).
@@ -148,39 +144,6 @@ pub struct ShardEntry {
     /// the plan-order prefix its store actually holds. The store stays
     /// in place — the merge folds it together with the children.
     pub retired: bool,
-}
-
-// Hand-written so the v2-only fields default when absent: v1 manifests
-// predate them, and the vendored serde derive has no `#[serde(default)]`
-// (a missing field deserializes from `Null`, which only `Option` takes).
-impl<'de> serde::Deserialize<'de> for ShardEntry {
-    fn deserialize<D: serde::Deserializer<'de>>(deserializer: D) -> Result<Self, D::Error> {
-        use serde::de::Error as _;
-        use serde::__private::take_field;
-        let mut obj = match deserializer.deserialize_value()? {
-            serde::Value::Object(entries) => entries,
-            other => {
-                return Err(D::Error::custom(format!(
-                    "expected object for ShardEntry, found {}",
-                    other.kind()
-                )))
-            }
-        };
-        Ok(ShardEntry {
-            index: take_field(&mut obj, "index").map_err(D::Error::custom)?,
-            store: take_field(&mut obj, "store").map_err(D::Error::custom)?,
-            start: take_field(&mut obj, "start").map_err(D::Error::custom)?,
-            units: take_field(&mut obj, "units").map_err(D::Error::custom)?,
-            attempts: take_field(&mut obj, "attempts").map_err(D::Error::custom)?,
-            generation: take_field::<Option<usize>>(&mut obj, "generation")
-                .map_err(D::Error::custom)?
-                .unwrap_or(0),
-            parent: take_field(&mut obj, "parent").map_err(D::Error::custom)?,
-            retired: take_field::<Option<bool>>(&mut obj, "retired")
-                .map_err(D::Error::custom)?
-                .unwrap_or(false),
-        })
-    }
 }
 
 impl ShardEntry {
@@ -243,10 +206,8 @@ impl ShardManifest {
         }
     }
 
-    /// Checks internal consistency. A v1 manifest must be the canonical
-    /// balanced partition — every range equal to the [`shard_range`]
-    /// recomputation. A v2 manifest (which may carry steal generations)
-    /// must instead be an *exact partition*: entries indexed in order,
+    /// Checks internal consistency. The manifest (which may carry steal
+    /// generations) must be an *exact partition*: entries indexed in order,
     /// non-empty ranges disjoint and covering `0..planned_units` with no
     /// gap, generation/parent links consistent, and only retired entries
     /// allowed to be empty.
@@ -255,26 +216,10 @@ impl ShardManifest {
     ///
     /// [`CampaignError::CorruptStore`] naming the inconsistency.
     pub fn validate(&self) -> Result<(), CampaignError> {
-        let v1 = match self.schema.as_str() {
-            s if s == MANIFEST_SCHEMA => false,
-            s if s == MANIFEST_SCHEMA_V1 => true,
-            other => {
-                return Err(CampaignError::CorruptStore(format!(
-                    "shard manifest schema {other} is neither {MANIFEST_SCHEMA} \
-                     nor {MANIFEST_SCHEMA_V1}"
-                )));
-            }
-        };
+        check_schema(&self.schema)?;
         if self.entries.len() < self.shards {
             return Err(CampaignError::CorruptStore(format!(
                 "shard manifest names {} shards but carries {} entries",
-                self.shards,
-                self.entries.len()
-            )));
-        }
-        if v1 && self.entries.len() != self.shards {
-            return Err(CampaignError::CorruptStore(format!(
-                "v1 shard manifest names {} shards but carries {} entries",
                 self.shards,
                 self.entries.len()
             )));
@@ -286,21 +231,6 @@ impl ShardManifest {
                     entry.index
                 )));
             }
-            if v1 {
-                let range = shard_range(self.planned_units, self.shards, i);
-                if entry.start != range.start || entry.units != range.len() {
-                    return Err(CampaignError::CorruptStore(format!(
-                        "shard manifest entry {i} does not match the canonical \
-                         partition (start {}, {} units; expected start {}, {} units)",
-                        entry.start,
-                        entry.units,
-                        range.start,
-                        range.len()
-                    )));
-                }
-                continue;
-            }
-            // v2 structural checks per entry.
             if (i < self.shards) != entry.parent.is_none() {
                 return Err(CampaignError::CorruptStore(format!(
                     "shard manifest entry {i}: original shards carry no parent, \
@@ -333,33 +263,31 @@ impl ShardManifest {
                 )));
             }
         }
-        if !v1 {
-            // The non-empty ranges must partition 0..planned_units exactly.
-            let mut ranges: Vec<Range<usize>> = self
-                .entries
-                .iter()
-                .filter(|e| e.units > 0)
-                .map(ShardEntry::range)
-                .collect();
-            ranges.sort_by_key(|r| r.start);
-            let mut next = 0usize;
-            for range in &ranges {
-                if range.start != next {
-                    let reason = if range.start > next { "gap" } else { "overlap" };
-                    return Err(CampaignError::CorruptStore(format!(
-                        "shard manifest ranges have a {reason} at unit {next} \
-                         (next range starts at {})",
-                        range.start
-                    )));
-                }
-                next = range.end;
-            }
-            if next != self.planned_units {
+        // The non-empty ranges must partition 0..planned_units exactly.
+        let mut ranges: Vec<Range<usize>> = self
+            .entries
+            .iter()
+            .filter(|e| e.units > 0)
+            .map(ShardEntry::range)
+            .collect();
+        ranges.sort_by_key(|r| r.start);
+        let mut next = 0usize;
+        for range in &ranges {
+            if range.start != next {
+                let reason = if range.start > next { "gap" } else { "overlap" };
                 return Err(CampaignError::CorruptStore(format!(
-                    "shard manifest ranges cover {next} of {} planned units",
-                    self.planned_units
+                    "shard manifest ranges have a {reason} at unit {next} \
+                     (next range starts at {})",
+                    range.start
                 )));
             }
+            next = range.end;
+        }
+        if next != self.planned_units {
+            return Err(CampaignError::CorruptStore(format!(
+                "shard manifest ranges cover {next} of {} planned units",
+                self.planned_units
+            )));
         }
         Ok(())
     }
@@ -516,17 +444,38 @@ impl ShardManifest {
     /// [`CampaignError::CorruptStore`] (see [`ShardManifest::validate`]).
     pub fn load(path: &Path) -> Result<Self, CampaignError> {
         let json = std::fs::read_to_string(path)?;
+        // The schema first, so a manifest of another shape (v1 lacks the
+        // generation fields) is refused by its schema name, not by a
+        // missing field.
+        let probe: SchemaProbe = serde_json::from_str(&json)?;
+        check_schema(&probe.schema)?;
         let manifest: ShardManifest = serde_json::from_str(&json)?;
         manifest.validate()?;
         Ok(manifest)
     }
 }
 
+/// Just the `schema` field of a manifest document.
+#[derive(Deserialize)]
+struct SchemaProbe {
+    schema: String,
+}
+
+fn check_schema(schema: &str) -> Result<(), CampaignError> {
+    if schema == MANIFEST_SCHEMA {
+        Ok(())
+    } else {
+        Err(CampaignError::CorruptStore(format!(
+            "shard manifest schema {schema} is not {MANIFEST_SCHEMA}"
+        )))
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::spec::{CampaignSpec, PlacementAxis, UnitDynamics, UnitScheduler};
-    use dynring_analysis::AlgorithmChoice;
+    use crate::spec::{CampaignSpec, PlacementAxis, UnitScheduler};
+    use dynring_analysis::{AlgorithmChoice, DynamicsChoice};
 
     fn plan() -> CampaignPlan {
         CampaignSpec {
@@ -535,7 +484,7 @@ mod tests {
             robots: vec![1, 2],
             placements: vec![PlacementAxis::EvenlySpaced],
             algorithms: vec![AlgorithmChoice::Pef3Plus],
-            dynamics: vec![UnitDynamics::Bernoulli { p: 0.5 }],
+            dynamics: vec![DynamicsChoice::Bernoulli { p: 0.5 }],
             schedulers: vec![UnitScheduler::Sync],
             seeds: vec![1, 2, 3],
             horizon: 100,
@@ -614,34 +563,22 @@ mod tests {
     }
 
     #[test]
-    fn v1_manifests_still_load_and_demand_the_canonical_partition() {
+    fn v1_manifests_are_refused_by_schema_name() {
         let plan = plan();
         let mut manifest = ShardManifest::build(&plan, 2, Path::new("/tmp"));
-        manifest.schema = MANIFEST_SCHEMA_V1.to_string();
+        manifest.schema = "dynring-shard-manifest-v1".to_string();
         let json = serde_json::to_string(&manifest).expect("serializes");
-        // Strip the v2-only fields textually: a real v1 file never wrote
-        // them, and the serde defaults must fill them back in on load.
+        // A real v1 file never wrote the generation fields.
         let v1_json = json.replace(",\"generation\":0,\"parent\":null,\"retired\":false", "");
-        assert!(
-            !v1_json.contains("generation") && v1_json != json,
-            "v2-only fields must be stripped: {v1_json}"
-        );
+        assert!(!v1_json.contains("generation"), "{v1_json}");
         let dir = std::env::temp_dir().join("dynring_shard_manifest_v1_test");
         let _ = std::fs::create_dir_all(&dir);
         let path = dir.join("manifest-v1.json");
-        std::fs::write(&path, v1_json).expect("writes");
-        let loaded = ShardManifest::load(&path).expect("v1 loads");
-        assert_eq!(loaded.entries, manifest.entries);
-
-        // v1 is strictly canonical: a non-canonical (but exact) partition
-        // that v2 would accept is refused under the v1 schema.
-        let mut bent = manifest.clone();
-        bent.entries[0].units += 1;
-        bent.entries[1].start += 1;
-        bent.entries[1].units -= 1;
-        assert!(bent.validate().is_err());
-        bent.schema = MANIFEST_SCHEMA.to_string();
-        bent.validate().expect("v2 accepts any exact partition");
+        for text in [v1_json, json] {
+            std::fs::write(&path, text).expect("writes");
+            let err = ShardManifest::load(&path).expect_err("v1 is refused");
+            assert!(err.to_string().contains("dynring-shard-manifest-v1"), "{err}");
+        }
         let _ = std::fs::remove_file(&path);
     }
 

@@ -11,9 +11,11 @@
 //! Expansion order is fixed and part of the format contract:
 //! `ring_size → placement → robots → algorithm → dynamics → scheduler →
 //! seed`, skipping combinations with `k ≥ n` (a ring must have strictly
-//! more nodes than robots). Deterministic dynamics (static rings,
-//! scripted outages, the proof adversaries) have their replica count
-//! clamped to 1 — every replica would be identical.
+//! more nodes than robots) and placements or dying edges
+//! (`EventualMissing`) that do not fit the ring. Deterministic dynamics
+//! (static rings, scripted outages, the proof adversaries; see
+//! [`DynamicsChoice::is_stochastic`]) have their replica count clamped to
+//! 1 — every replica would be identical.
 
 use serde::{Deserialize, Serialize};
 
@@ -22,120 +24,6 @@ use dynring_engine::{Chirality, LocalDir, RobotPlacement};
 use dynring_graph::{NodeId, Time};
 
 use crate::CampaignError;
-
-/// The dynamics / schedule-class axis of a campaign.
-///
-/// [`UnitDynamics::Bernoulli`] is the *pure* per-edge presence stream the
-/// 64-replica batch engine executes natively; everything else maps onto
-/// the serial scenario runner's [`DynamicsChoice`] suite.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub enum UnitDynamics {
-    /// Pure Bernoulli presence (batch-eligible under the sync scheduler).
-    Bernoulli {
-        /// Per-edge presence probability.
-        p: f64,
-    },
-    /// The static ring.
-    Static,
-    /// Bernoulli presence repaired to a hard recurrence bound.
-    BernoulliRecurrent {
-        /// Per-edge presence probability.
-        p: f64,
-        /// Recurrence bound enforced by repair.
-        bound: Time,
-    },
-    /// Markov on/off edges (repaired to recurrence).
-    Markov {
-        /// P(present → absent).
-        p_off: f64,
-        /// P(absent → present).
-        p_on: f64,
-    },
-    /// One deterministic moving outage.
-    SweepingOutage {
-        /// Rounds the outage stays on each edge.
-        dwell: Time,
-    },
-    /// A T-interval-connected schedule.
-    TIntervalConnected {
-        /// Minimum all-present rounds between outages.
-        stability: Time,
-    },
-    /// The greedy budget-constrained blocker.
-    PointedBlocker {
-        /// Per-edge consecutive-absence budget.
-        budget: Time,
-    },
-    /// The Theorem 5.1 single-robot confiner.
-    SingleConfiner,
-    /// The Theorem 4.1 two-robot confiner.
-    TwoConfiner {
-        /// Rounds to wait for a designated move before stalemate.
-        patience: Time,
-    },
-    /// The SSYNC blocker (forces round-robin activation).
-    SsyncBlocker,
-}
-
-impl UnitDynamics {
-    /// Display name (used in reports and aggregation keys).
-    pub fn name(&self) -> &'static str {
-        match self {
-            UnitDynamics::Bernoulli { .. } => "bernoulli",
-            UnitDynamics::Static => "static",
-            UnitDynamics::BernoulliRecurrent { .. } => "bernoulli+recurrence",
-            UnitDynamics::Markov { .. } => "markov",
-            UnitDynamics::SweepingOutage { .. } => "sweeping-outage",
-            UnitDynamics::TIntervalConnected { .. } => "t-interval-connected",
-            UnitDynamics::PointedBlocker { .. } => "pointed-blocker",
-            UnitDynamics::SingleConfiner => "thm5.1-confiner",
-            UnitDynamics::TwoConfiner { .. } => "thm4.1-confiner",
-            UnitDynamics::SsyncBlocker => "ssync-blocker",
-        }
-    }
-
-    /// Whether different seeds produce different executions. Deterministic
-    /// dynamics get their replica budget clamped to 1 at plan time.
-    pub fn is_stochastic(&self) -> bool {
-        matches!(
-            self,
-            UnitDynamics::Bernoulli { .. }
-                | UnitDynamics::BernoulliRecurrent { .. }
-                | UnitDynamics::Markov { .. }
-                | UnitDynamics::TIntervalConnected { .. }
-        )
-    }
-
-    /// Whether this is the pure Bernoulli stream the batch engine runs
-    /// natively (one half of the batch-eligibility rule; the other is the
-    /// sync scheduler).
-    pub fn is_pure_bernoulli(&self) -> bool {
-        matches!(self, UnitDynamics::Bernoulli { .. })
-    }
-
-    /// The serial scenario runner's equivalent, for units that fall back
-    /// to [`dynring_analysis::run_scenario`]. `None` for the pure
-    /// Bernoulli stream, which has no `DynamicsChoice` counterpart (it is
-    /// executed through the replica-lane machinery instead).
-    pub fn as_dynamics_choice(&self) -> Option<DynamicsChoice> {
-        Some(match *self {
-            UnitDynamics::Bernoulli { .. } => return None,
-            UnitDynamics::Static => DynamicsChoice::Static,
-            UnitDynamics::BernoulliRecurrent { p, bound } => {
-                DynamicsChoice::BernoulliRecurrent { p, bound }
-            }
-            UnitDynamics::Markov { p_off, p_on } => DynamicsChoice::Markov { p_off, p_on },
-            UnitDynamics::SweepingOutage { dwell } => DynamicsChoice::SweepingOutage { dwell },
-            UnitDynamics::TIntervalConnected { stability } => {
-                DynamicsChoice::TIntervalConnected { stability }
-            }
-            UnitDynamics::PointedBlocker { budget } => DynamicsChoice::PointedBlocker { budget },
-            UnitDynamics::SingleConfiner => DynamicsChoice::SingleConfiner,
-            UnitDynamics::TwoConfiner { patience } => DynamicsChoice::TwoConfiner { patience },
-            UnitDynamics::SsyncBlocker => DynamicsChoice::SsyncBlocker,
-        })
-    }
-}
 
 /// The activation-scheduler axis.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -224,7 +112,7 @@ pub struct WorkUnit {
     /// The algorithm under test.
     pub algorithm: AlgorithmChoice,
     /// The dynamics / schedule class.
-    pub dynamics: UnitDynamics,
+    pub dynamics: DynamicsChoice,
     /// The activation scheduler.
     pub scheduler: UnitScheduler,
     /// Rounds per replica (ticks ÷ 3 under the async scheduler).
@@ -298,7 +186,7 @@ pub struct CampaignSpec {
     /// Algorithms under test.
     pub algorithms: Vec<AlgorithmChoice>,
     /// Dynamics / schedule classes.
-    pub dynamics: Vec<UnitDynamics>,
+    pub dynamics: Vec<DynamicsChoice>,
     /// Activation schedulers.
     pub schedulers: Vec<UnitScheduler>,
     /// Base seeds (one unit per seed; replicas derive from it).
@@ -387,7 +275,7 @@ impl CampaignSpec {
         }
         if self.schedulers.contains(&UnitScheduler::Async) {
             if let Some(d) = self.dynamics.iter().find(|d| {
-                !matches!(d, UnitDynamics::Bernoulli { .. } | UnitDynamics::Static)
+                !matches!(d, DynamicsChoice::Bernoulli { .. } | DynamicsChoice::Static)
             }) {
                 return invalid(format!(
                     "the async scheduler supports only oblivious dynamics \
@@ -465,6 +353,13 @@ impl CampaignSpec {
                     }
                     for &algorithm in &self.algorithms {
                         for &dynamics in &self.dynamics {
+                            // A ring of n nodes has edges 0..n; a dying
+                            // edge beyond them does not fit this ring.
+                            if let DynamicsChoice::EventualMissing { edge, .. } = dynamics {
+                                if edge >= n {
+                                    continue;
+                                }
+                            }
                             let replicas = if dynamics.is_stochastic() {
                                 self.replicas
                             } else {
@@ -517,7 +412,7 @@ mod tests {
             robots: vec![1, 3],
             placements: vec![PlacementAxis::EvenlySpaced],
             algorithms: vec![AlgorithmChoice::Pef3Plus, AlgorithmChoice::KeepDirection],
-            dynamics: vec![UnitDynamics::Bernoulli { p: 0.5 }, UnitDynamics::Static],
+            dynamics: vec![DynamicsChoice::Bernoulli { p: 0.5 }, DynamicsChoice::Static],
             schedulers: vec![UnitScheduler::Sync, UnitScheduler::Ssync],
             seeds: vec![1, 2],
             horizon: 200,
@@ -604,12 +499,63 @@ mod tests {
     }
 
     #[test]
+    fn eventual_missing_keeps_replicas_and_skips_rings_without_its_edge() {
+        let mut spec = tiny_spec();
+        spec.ring_sizes = vec![4, 6];
+        spec.dynamics = vec![
+            DynamicsChoice::EventualMissing { p: 0.5, bound: 8, edge: 5, from: 10 },
+            DynamicsChoice::AlternatingHoles,
+        ];
+        let plan = spec.plan().expect("valid spec");
+        let (missing, holes): (Vec<_>, Vec<_>) = plan
+            .units
+            .iter()
+            .partition(|u| matches!(u.unit.dynamics, DynamicsChoice::EventualMissing { .. }));
+        // Edge 5 exists on the 6-ring only; the alternating holes fit both.
+        assert!(!missing.is_empty());
+        assert!(missing.iter().all(|u| u.unit.ring_size == 6 && u.unit.replicas == 8));
+        assert!(holes.iter().any(|u| u.unit.ring_size == 4));
+        assert!(holes.iter().all(|u| u.unit.replicas == 1));
+    }
+
+    #[test]
+    fn unit_hashes_are_pinned_per_dynamics() {
+        // Stores are keyed by these hashes: the dynamics a unit names
+        // must keep serializing to the same bytes.
+        let unit = |dynamics| WorkUnit {
+            ring_size: 6,
+            robots: 2,
+            placement: PlacementSpec::EvenlySpaced { count: 2 },
+            algorithm: AlgorithmChoice::Pef3Plus,
+            dynamics,
+            scheduler: UnitScheduler::Sync,
+            horizon: 100,
+            seed: 1,
+            replicas: 1,
+        };
+        for (dynamics, hash) in [
+            (DynamicsChoice::Bernoulli { p: 0.5 }, "7d8150743a9c02b1"),
+            (DynamicsChoice::Static, "eec27c9748efa3b8"),
+            (DynamicsChoice::BernoulliRecurrent { p: 0.5, bound: 8 }, "2a14bee265e602f5"),
+            (DynamicsChoice::Markov { p_off: 0.15, p_on: 0.4 }, "0a4a48a4b12dac56"),
+            (DynamicsChoice::SweepingOutage { dwell: 3 }, "333476a345cc61ee"),
+            (DynamicsChoice::TIntervalConnected { stability: 4 }, "31c749dec069b56d"),
+            (DynamicsChoice::PointedBlocker { budget: 4 }, "4b054cc0b0ebbb74"),
+            (DynamicsChoice::SingleConfiner, "a8122c22cf71b330"),
+            (DynamicsChoice::TwoConfiner { patience: 64 }, "e852e48c7ba77e99"),
+            (DynamicsChoice::SsyncBlocker, "0154b9be7b7e0a4e"),
+        ] {
+            assert_eq!(unit(dynamics).content_hash(), hash, "{}", dynamics.name());
+        }
+    }
+
+    #[test]
     fn async_rejects_non_oblivious_dynamics() {
         let mut spec = tiny_spec();
         spec.schedulers = vec![UnitScheduler::Async];
         spec.dynamics = vec![
-            UnitDynamics::Bernoulli { p: 0.5 },
-            UnitDynamics::PointedBlocker { budget: 3 },
+            DynamicsChoice::Bernoulli { p: 0.5 },
+            DynamicsChoice::PointedBlocker { budget: 3 },
         ];
         let err = spec.plan().expect_err("async + adaptive must be rejected");
         assert!(err.to_string().contains("pointed-blocker"), "{err}");
@@ -643,7 +589,7 @@ mod tests {
         let err = spec.plan().expect_err("duplicate seeds");
         assert!(err.to_string().contains("seeds"), "{err}");
         let mut spec = tiny_spec();
-        spec.dynamics.push(UnitDynamics::Bernoulli { p: 0.5 });
+        spec.dynamics.push(DynamicsChoice::Bernoulli { p: 0.5 });
         let err = spec.plan().expect_err("duplicate dynamics");
         assert!(err.to_string().contains("dynamics"), "{err}");
         let mut spec = tiny_spec();

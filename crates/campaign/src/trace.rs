@@ -155,8 +155,8 @@ impl StoreFooter {
 mod tests {
     use super::*;
     use crate::executor::UnitMeasurement;
-    use crate::spec::{UnitDynamics, UnitScheduler, WorkUnit};
-    use dynring_analysis::{AlgorithmChoice, PlacementSpec};
+    use crate::spec::{UnitScheduler, WorkUnit};
+    use dynring_analysis::{AlgorithmChoice, DynamicsChoice, PlacementSpec};
 
     fn record(index: usize) -> UnitRecord {
         let unit = WorkUnit {
@@ -164,7 +164,7 @@ mod tests {
             robots: 1,
             placement: PlacementSpec::EvenlySpaced { count: 1 },
             algorithm: AlgorithmChoice::Pef1,
-            dynamics: UnitDynamics::Bernoulli { p: 0.5 },
+            dynamics: DynamicsChoice::Bernoulli { p: 0.5 },
             scheduler: UnitScheduler::Sync,
             horizon: 10,
             seed: index as u64,

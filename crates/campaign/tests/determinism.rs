@@ -5,10 +5,9 @@
 
 use proptest::prelude::*;
 
-use dynring_analysis::AlgorithmChoice;
+use dynring_analysis::{AlgorithmChoice, DynamicsChoice};
 use dynring_campaign::{
-    run_campaign, CampaignSpec, PlacementAxis, ResultStore, RunOptions, UnitDynamics,
-    UnitScheduler,
+    run_campaign, CampaignSpec, PlacementAxis, ResultStore, RunOptions, UnitScheduler,
 };
 
 /// A small but varied spec family: every case mixes batch-routed
@@ -21,8 +20,8 @@ fn spec_for(ring: usize, robots: usize, p_milli: u64, seeds: usize, replicas: us
         placements: vec![PlacementAxis::EvenlySpaced],
         algorithms: vec![AlgorithmChoice::Pef3Plus, AlgorithmChoice::BounceOnMissingEdge],
         dynamics: vec![
-            UnitDynamics::Bernoulli { p: p_milli as f64 / 1000.0 },
-            UnitDynamics::Static,
+            DynamicsChoice::Bernoulli { p: p_milli as f64 / 1000.0 },
+            DynamicsChoice::Static,
         ],
         schedulers: vec![UnitScheduler::Sync, UnitScheduler::Ssync],
         seeds: (0..seeds as u64).collect(),

@@ -8,11 +8,10 @@
 
 use proptest::prelude::*;
 
-use dynring_analysis::AlgorithmChoice;
+use dynring_analysis::{AlgorithmChoice, DynamicsChoice};
 use dynring_campaign::{
     certify, merge_stores, run_campaign, CampaignError, CampaignSpec, CertifyOptions,
-    FailPlan, FaultKind, PlacementAxis, ResultStore, RunOptions, ShardSel, UnitDynamics,
-    UnitScheduler,
+    FailPlan, FaultKind, PlacementAxis, ResultStore, RunOptions, ShardSel, UnitScheduler,
 };
 
 /// Twelve units (batch-routed Bernoulli and serial static), cheap enough
@@ -24,7 +23,7 @@ fn spec() -> CampaignSpec {
         robots: vec![1],
         placements: vec![PlacementAxis::EvenlySpaced],
         algorithms: vec![AlgorithmChoice::Pef1],
-        dynamics: vec![UnitDynamics::Bernoulli { p: 0.6 }, UnitDynamics::Static],
+        dynamics: vec![DynamicsChoice::Bernoulli { p: 0.6 }, DynamicsChoice::Static],
         schedulers: vec![UnitScheduler::Sync],
         seeds: vec![1, 2, 3],
         horizon: 100,

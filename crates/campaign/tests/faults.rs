@@ -13,10 +13,10 @@
 
 use proptest::prelude::*;
 
-use dynring_analysis::AlgorithmChoice;
+use dynring_analysis::{AlgorithmChoice, DynamicsChoice};
 use dynring_campaign::{
     run_campaign, CampaignError, CampaignSpec, CertifyOptions, FailPlan, FaultKind,
-    PlacementAxis, ResultStore, RunOptions, StoreLine, UnitDynamics, UnitScheduler,
+    PlacementAxis, ResultStore, RunOptions, StoreLine, UnitScheduler,
 };
 
 /// Four units (two batch-routed Bernoulli, two serial static), cheap
@@ -28,7 +28,7 @@ fn spec() -> CampaignSpec {
         robots: vec![1],
         placements: vec![PlacementAxis::EvenlySpaced],
         algorithms: vec![AlgorithmChoice::Pef1],
-        dynamics: vec![UnitDynamics::Bernoulli { p: 0.6 }, UnitDynamics::Static],
+        dynamics: vec![DynamicsChoice::Bernoulli { p: 0.6 }, DynamicsChoice::Static],
         schedulers: vec![UnitScheduler::Sync],
         seeds: vec![1, 2],
         horizon: 100,

@@ -17,11 +17,10 @@ use std::path::PathBuf;
 use proptest::prelude::*;
 
 use dynring_analysis::seeds::backoff_jitter_ms;
-use dynring_analysis::AlgorithmChoice;
+use dynring_analysis::{AlgorithmChoice, DynamicsChoice};
 use dynring_campaign::{
     merge_manifest, run_campaign, CampaignError, CampaignSpec, FailPlan, FaultKind,
-    PlacementAxis, ResultStore, RunOptions, ShardManifest, ShardSel, UnitDynamics,
-    UnitScheduler,
+    PlacementAxis, ResultStore, RunOptions, ShardManifest, ShardSel, UnitScheduler,
 };
 
 /// Twelve cheap units (batch-routed Bernoulli and serial static).
@@ -32,7 +31,7 @@ fn spec() -> CampaignSpec {
         robots: vec![1],
         placements: vec![PlacementAxis::EvenlySpaced],
         algorithms: vec![AlgorithmChoice::Pef1],
-        dynamics: vec![UnitDynamics::Bernoulli { p: 0.6 }, UnitDynamics::Static],
+        dynamics: vec![DynamicsChoice::Bernoulli { p: 0.6 }, DynamicsChoice::Static],
         schedulers: vec![UnitScheduler::Sync],
         seeds: vec![1, 2, 3],
         horizon: 100,

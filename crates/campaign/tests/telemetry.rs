@@ -8,10 +8,10 @@
 
 use proptest::prelude::*;
 
-use dynring_analysis::AlgorithmChoice;
+use dynring_analysis::{AlgorithmChoice, DynamicsChoice};
 use dynring_campaign::{
     certify, run_campaign, summarize, CampaignSpec, CertifyOptions, Event, EventLedger,
-    PlacementAxis, ResultStore, RunOptions, UnitDynamics, UnitScheduler, EVENTS_SCHEMA,
+    PlacementAxis, ResultStore, RunOptions, UnitScheduler, EVENTS_SCHEMA,
 };
 
 /// A small spec family mixing batch-routed (bernoulli) and serial
@@ -23,7 +23,7 @@ fn spec_for(ring: usize, robots: usize, seeds: usize) -> CampaignSpec {
         robots: vec![1, robots],
         placements: vec![PlacementAxis::EvenlySpaced],
         algorithms: vec![AlgorithmChoice::Pef3Plus, AlgorithmChoice::KeepDirection],
-        dynamics: vec![UnitDynamics::Bernoulli { p: 0.7 }, UnitDynamics::Static],
+        dynamics: vec![DynamicsChoice::Bernoulli { p: 0.7 }, DynamicsChoice::Static],
         schedulers: vec![UnitScheduler::Sync],
         seeds: (0..seeds as u64).collect(),
         horizon: 120,
@@ -213,7 +213,7 @@ fn cot_violations_are_counted_out_of_band() {
         robots: vec![1],
         placements: vec![PlacementAxis::EvenlySpaced],
         algorithms: vec![AlgorithmChoice::Pef3Plus, AlgorithmChoice::BounceOnMissingEdge],
-        dynamics: vec![UnitDynamics::SsyncBlocker],
+        dynamics: vec![DynamicsChoice::SsyncBlocker],
         schedulers: vec![UnitScheduler::Sync, UnitScheduler::Ssync],
         seeds: vec![5],
         horizon: 200,
@@ -222,7 +222,7 @@ fn cot_violations_are_counted_out_of_band() {
     let plan = spec.plan().expect("plans");
     let key = dynring_obs::labeled(
         dynring_obs::names::CAMPAIGN_COT_VIOLATIONS,
-        &[("dynamics", UnitDynamics::SsyncBlocker.name())],
+        &[("dynamics", DynamicsChoice::SsyncBlocker.name())],
     );
     let counter = dynring_obs::global().counter(&key);
 
@@ -250,7 +250,7 @@ fn cot_violations_are_counted_out_of_band() {
                 unit.ring_size,
                 PlacementSpec::Explicit(unit.placement.build(unit.ring_size)),
                 unit.algorithm,
-                unit.dynamics.as_dynamics_choice().expect("scenario route"),
+                unit.dynamics,
                 unit.horizon,
             )
             .with_seed(dynring_analysis::derive_stream_seed(unit.seed, 0))

@@ -871,8 +871,8 @@ impl<S: EdgeSchedule> EdgeSchedule for WithEventualMissing<S> {
 ///
 /// This sampler defines the schedule's deterministic stream (changing `K`
 /// would change every snapshot). The pre-word-parallel per-edge stream
-/// survives as [`BernoulliSchedule::reference_is_present`] (crate feature
-/// `reference`, on by default) for distribution-equivalence tests.
+/// survives as [`BernoulliSchedule::reference_is_present`] for
+/// distribution-equivalence tests.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct BernoulliSchedule {
     ring: RingTopology,
@@ -1016,9 +1016,7 @@ impl BernoulliSchedule {
 }
 
 /// The reference per-edge sampler: the exact pre-word-parallel stream,
-/// kept for distribution-equivalence tests (gated behind the `reference`
-/// feature, which is on by default).
-#[cfg(any(test, feature = "reference"))]
+/// kept for distribution-equivalence tests.
 impl BernoulliSchedule {
     /// The exact integer threshold equivalent of the historical f64
     /// compare: for **every** 64-bit hash `h`,

@@ -33,8 +33,8 @@ USAGE:
     dynring campaign run    --spec FILE --store FILE [--workers W] [--max-units N]
                             [--procs P] [--max-retries R] [--backoff-ms B]
                             [--heartbeat-timeout-ms T] [--no-steal]
-                            [--steal-after-ms T] [--progress] [--json]
-                            [--metrics-out FILE]
+                            [--steal-after-ms T] [--manifest FILE] [--dir DIR]
+                            [--progress] [--json] [--metrics-out FILE]
     dynring campaign resume --spec FILE --store FILE [same flags as run]
     dynring campaign report --spec FILE --store FILE [--out FILE]
     dynring campaign shard  --spec FILE --shards N [--index I] [--dir DIR]
@@ -52,6 +52,8 @@ USAGE:
     dynring bench-report [--out FILE] [--quick] [--check SNAPSHOT]
     dynring --help
 
+Each command accepts only the flags listed for it above; any other flag
+(a misspelling, or a flag of another command) is a usage error.
 `capture` runs a scenario, records the exact snapshot sequence the
 (possibly adaptive) dynamics played, and writes a JSON artifact. `replay`
 re-runs the artifact's algorithm on the recorded schedule and verifies the
@@ -316,6 +318,38 @@ pub enum CampaignVerb {
     Status,
 }
 
+impl CampaignVerb {
+    /// The `--key value` flags and switches this verb accepts.
+    fn flags(self) -> Flags {
+        match self {
+            CampaignVerb::Run | CampaignVerb::Resume => (
+                &[
+                    "spec",
+                    "store",
+                    "workers",
+                    "max-units",
+                    "procs",
+                    "max-retries",
+                    "backoff-ms",
+                    "heartbeat-timeout-ms",
+                    "steal-after-ms",
+                    "manifest",
+                    "dir",
+                    "metrics-out",
+                ],
+                &["no-steal", "progress", "json"],
+            ),
+            CampaignVerb::Report => (&["spec", "store", "out"], &[]),
+            CampaignVerb::Shard => (&["spec", "shards", "index", "dir", "manifest"], &[]),
+            CampaignVerb::Work => {
+                (&["spec", "manifest", "index", "workers", "max-units", "metrics-out"], &[])
+            }
+            CampaignVerb::Merge => (&["spec", "store", "manifest", "metrics-out"], &[]),
+            CampaignVerb::Status => (&["manifest"], &["json"]),
+        }
+    }
+}
+
 /// A CLI parsing error.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CliError(String);
@@ -352,37 +386,47 @@ fn err(msg: impl Into<String>) -> CliError {
     CliError(msg.into())
 }
 
-/// Positional arguments and `--key value` pairs, borrowed from the input.
+/// Positional arguments (switches included, as `--name`) and `--key
+/// value` pairs, borrowed from the input.
 type SplitArgs<'a> = (Vec<&'a str>, Vec<(&'a str, &'a str)>);
 
-/// Extracts `--key value` pairs; returns (positional, pairs).
-fn split_flags(args: &[String]) -> Result<SplitArgs<'_>, CliError> {
+/// The flags of one command: `--key value` flags, then value-less
+/// switches.
+type Flags = (&'static [&'static str], &'static [&'static str]);
+
+const SCENARIO_FLAGS: Flags =
+    (&["n", "k", "algorithm", "dynamics", "horizon", "seed", "min-covers", "p"], &[]);
+const CAPTURE_FLAGS: Flags =
+    (&["n", "k", "algorithm", "dynamics", "horizon", "seed", "min-covers", "p", "out"], &[]);
+
+/// Splits `args` into positional words and `--key value` pairs, accepting
+/// only the flags `command` takes; any other flag is a usage error naming
+/// the command.
+fn split_flags<'a>(
+    args: &'a [String],
+    command: &str,
+    (values, switches): Flags,
+) -> Result<SplitArgs<'a>, CliError> {
     let mut positional = Vec::new();
     let mut pairs = Vec::new();
     let mut i = 0;
     while i < args.len() {
         let arg = args[i].as_str();
-        if let Some(key) = arg.strip_prefix("--") {
-            // Value-less flags.
-            if matches!(key, "help" | "quick" | "progress" | "json" | "no-steal") {
-                positional.push(match key {
-                    "help" => "--help",
-                    "quick" => "--quick",
-                    "progress" => "--progress",
-                    "no-steal" => "--no-steal",
-                    _ => "--json",
-                });
-                i += 1;
-                continue;
-            }
+        i += 1;
+        let Some(key) = arg.strip_prefix("--") else {
+            positional.push(arg);
+            continue;
+        };
+        if switches.contains(&key) {
+            positional.push(arg);
+        } else if values.contains(&key) {
             let value = args
-                .get(i + 1)
+                .get(i)
                 .ok_or_else(|| err(format!("flag --{key} needs a value")))?;
             pairs.push((key, value.as_str()));
-            i += 2;
-        } else {
-            positional.push(arg);
             i += 1;
+        } else {
+            return Err(err(format!("unknown flag --{key} for {command}")));
         }
     }
     Ok((positional, pairs))
@@ -452,51 +496,57 @@ fn parse_dynamics(name: &str, n: usize, horizon: u64, p: f64) -> Result<Dynamics
     })
 }
 
+/// The scenario named by the flags of `scenario` and `capture`.
+fn parse_scenario(pairs: &[(&str, &str)]) -> Result<Scenario, CliError> {
+    let n: usize = parse_num(pairs, "n", 0)?;
+    let k: usize = parse_num(pairs, "k", 0)?;
+    if n == 0 || k == 0 {
+        return Err(err("scenario requires --n and --k"));
+    }
+    let horizon: u64 = parse_num(pairs, "horizon", 1000)?;
+    let p: f64 = parse_num(pairs, "p", 0.5)?;
+    let algorithm = parse_algorithm(lookup(pairs, "algorithm").unwrap_or("pef3+"))?;
+    let dynamics =
+        parse_dynamics(lookup(pairs, "dynamics").unwrap_or("bernoulli"), n, horizon, p)?;
+    let placement = if matches!(dynamics, DynamicsChoice::TwoConfiner { .. }) {
+        PlacementSpec::Adjacent { count: k, start: 0 }
+    } else {
+        PlacementSpec::EvenlySpaced { count: k }
+    };
+    let min_covers: u64 = parse_num(pairs, "min-covers", 3)?;
+    Ok(Scenario::new(n, placement, algorithm, dynamics, horizon)
+        .with_seed(parse_num(pairs, "seed", 0xDECADEu64)?)
+        .with_criteria(SuccessCriteria::covers(min_covers)))
+}
+
 /// Parses a full argument vector (without the program name).
 ///
 /// # Errors
 ///
 /// [`CliError`] with a human-readable message.
 pub fn parse(args: &[String]) -> Result<Command, CliError> {
-    let (positional, pairs) = split_flags(args)?;
-    if positional.contains(&"--help") || positional.is_empty() {
+    if args.is_empty() || args.iter().any(|a| a == "--help") {
         return Ok(Command::Help);
     }
-    // `--quick` is only meaningful for bench-report; reject it elsewhere
-    // instead of silently running the full-size workload. Same idea for
-    // the campaign-only value-less flags.
-    if positional.contains(&"--quick") && positional[0] != "bench-report" {
-        return Err(err("--quick is only valid with bench-report"));
-    }
-    if positional.contains(&"--progress") && positional[0] != "campaign" {
-        return Err(err("--progress is only valid with campaign"));
-    }
-    if positional.contains(&"--json") && !matches!(positional[0], "campaign" | "metrics") {
-        return Err(err("--json is only valid with campaign or metrics"));
-    }
-    match positional[0] {
+    let command = args[0].as_str();
+    let split = |flags: Flags| split_flags(args, command, flags);
+    match command {
         "capture" => {
-            let inner: Vec<String> = {
-                // Re-parse as a scenario, then attach the output path.
-                let mut v = vec!["scenario".to_string()];
-                v.extend(args.iter().filter(|a| *a != "capture").cloned());
-                v
-            };
+            let (_, pairs) = split(CAPTURE_FLAGS)?;
             let out = lookup(&pairs, "out")
                 .ok_or_else(|| err("capture requires --out FILE"))?
                 .to_string();
-            match parse(&inner)? {
-                Command::Scenario(scenario) => Ok(Command::Capture { scenario, out }),
-                _ => Err(err("capture requires scenario flags (--n, --k, …)")),
-            }
+            Ok(Command::Capture { scenario: parse_scenario(&pairs)?, out })
         }
         "replay" => {
+            let (_, pairs) = split((&["file"], &[]))?;
             let file = lookup(&pairs, "file")
                 .ok_or_else(|| err("replay requires --file FILE"))?
                 .to_string();
             Ok(Command::Replay { file })
         }
         "table1" => {
+            let (_, pairs) = split((&["horizon", "min-covers", "seed"], &[]))?;
             let mut opts = Table1Options::default();
             opts.horizon = parse_num(&pairs, "horizon", opts.horizon)?;
             opts.min_covers = parse_num(&pairs, "min-covers", opts.min_covers)?;
@@ -504,34 +554,23 @@ pub fn parse(args: &[String]) -> Result<Command, CliError> {
             Ok(Command::Table1(opts))
         }
         "scenario" => {
-            let n: usize = parse_num(&pairs, "n", 0)?;
-            let k: usize = parse_num(&pairs, "k", 0)?;
-            if n == 0 || k == 0 {
-                return Err(err("scenario requires --n and --k"));
-            }
-            let horizon: u64 = parse_num(&pairs, "horizon", 1000)?;
-            let p: f64 = parse_num(&pairs, "p", 0.5)?;
-            let algorithm = parse_algorithm(lookup(&pairs, "algorithm").unwrap_or("pef3+"))?;
-            let dynamics =
-                parse_dynamics(lookup(&pairs, "dynamics").unwrap_or("bernoulli"), n, horizon, p)?;
-            let placement = if matches!(dynamics, DynamicsChoice::TwoConfiner { .. }) {
-                PlacementSpec::Adjacent { count: k, start: 0 }
-            } else {
-                PlacementSpec::EvenlySpaced { count: k }
-            };
-            let min_covers: u64 = parse_num(&pairs, "min-covers", 3)?;
-            let scenario = Scenario::new(n, placement, algorithm, dynamics, horizon)
-                .with_seed(parse_num(&pairs, "seed", 0xDECADEu64)?)
-                .with_criteria(SuccessCriteria::covers(min_covers));
-            Ok(Command::Scenario(scenario))
+            let (_, pairs) = split(SCENARIO_FLAGS)?;
+            Ok(Command::Scenario(parse_scenario(&pairs)?))
         }
-        "coverage" => Ok(Command::Coverage {
-            n: parse_num(&pairs, "n", 8)?,
-            k: parse_num(&pairs, "k", 3)?,
-            horizon: parse_num(&pairs, "horizon", 800)?,
-            seed: parse_num(&pairs, "seed", 0xC0FFEEu64)?,
-        }),
+        "coverage" => {
+            let (_, pairs) = split((&["n", "k", "horizon", "seed"], &[]))?;
+            Ok(Command::Coverage {
+                n: parse_num(&pairs, "n", 8)?,
+                k: parse_num(&pairs, "k", 3)?,
+                horizon: parse_num(&pairs, "horizon", 800)?,
+                seed: parse_num(&pairs, "seed", 0xC0FFEEu64)?,
+            })
+        }
         "montecarlo" => {
+            let (_, pairs) = split((
+                &["n", "k", "p", "replicas", "horizon", "seed", "algorithm", "out"],
+                &[],
+            ))?;
             let config = MonteCarloConfig {
                 ring_size: parse_num(&pairs, "n", 16)?,
                 robots: parse_num(&pairs, "k", 3)?,
@@ -547,14 +586,14 @@ pub fn parse(args: &[String]) -> Result<Command, CliError> {
             })
         }
         "campaign" => {
-            let verb = match positional.get(1) {
-                Some(&"run") => CampaignVerb::Run,
-                Some(&"resume") => CampaignVerb::Resume,
-                Some(&"report") => CampaignVerb::Report,
-                Some(&"shard") => CampaignVerb::Shard,
-                Some(&"work") => CampaignVerb::Work,
-                Some(&"merge") => CampaignVerb::Merge,
-                Some(&"status") => CampaignVerb::Status,
+            let verb = match args.get(1).map(String::as_str) {
+                Some("run") => CampaignVerb::Run,
+                Some("resume") => CampaignVerb::Resume,
+                Some("report") => CampaignVerb::Report,
+                Some("shard") => CampaignVerb::Shard,
+                Some("work") => CampaignVerb::Work,
+                Some("merge") => CampaignVerb::Merge,
+                Some("status") => CampaignVerb::Status,
                 Some(other) if !other.starts_with("--") => {
                     return Err(err(format!(
                         "unknown campaign verb: {other} (expected run | resume | \
@@ -568,6 +607,8 @@ pub fn parse(args: &[String]) -> Result<Command, CliError> {
                     ))
                 }
             };
+            let (positional, pairs) =
+                split_flags(args, &format!("campaign {}", args[1]), verb.flags())?;
             // Everything positional past the verb (minus value-less
             // flags) is a store path — `status STORE…`, `merge … STORE…`.
             let stores: Vec<String> = positional[2..]
@@ -596,34 +637,9 @@ pub fn parse(args: &[String]) -> Result<Command, CliError> {
                     "campaign status requires at least one STORE path or --manifest FILE",
                 ));
             }
-            let out = lookup(&pairs, "out").map(str::to_string);
-            if out.is_some() && verb != CampaignVerb::Report {
-                return Err(err("--out is only valid with campaign report"));
-            }
-            let workers = parse_opt_num(&pairs, "workers")?;
-            let max_units = parse_opt_num(&pairs, "max-units")?;
-            if (workers.is_some() || max_units.is_some())
-                && !matches!(verb, CampaignVerb::Run | CampaignVerb::Resume | CampaignVerb::Work)
-            {
-                return Err(err(
-                    "--workers/--max-units are only valid with campaign run/resume/work",
-                ));
-            }
             let procs = parse_opt_num(&pairs, "procs")?;
             if procs == Some(0) {
                 return Err(err("--procs must be at least 1"));
-            }
-            if procs.is_some() && !matches!(verb, CampaignVerb::Run | CampaignVerb::Resume) {
-                return Err(err("--procs is only valid with campaign run/resume"));
-            }
-            let no_steal = positional.contains(&"--no-steal");
-            let steal_after_ms = parse_opt_num(&pairs, "steal-after-ms")?;
-            if (no_steal || steal_after_ms.is_some())
-                && !matches!(verb, CampaignVerb::Run | CampaignVerb::Resume)
-            {
-                return Err(err(
-                    "--no-steal/--steal-after-ms are only valid with campaign run/resume",
-                ));
             }
             let shards = parse_opt_num(&pairs, "shards")?;
             if verb == CampaignVerb::Shard && shards.is_none() {
@@ -643,28 +659,14 @@ pub fn parse(args: &[String]) -> Result<Command, CliError> {
                     "campaign merge needs --manifest FILE or shard STORE… paths",
                 ));
             }
-            let metrics_out = lookup(&pairs, "metrics-out").map(str::to_string);
-            if metrics_out.is_some()
-                && !matches!(
-                    verb,
-                    CampaignVerb::Run
-                        | CampaignVerb::Resume
-                        | CampaignVerb::Work
-                        | CampaignVerb::Merge
-                )
-            {
-                return Err(err(
-                    "--metrics-out is only valid with campaign run/resume/work/merge",
-                ));
-            }
             Ok(Command::Campaign {
                 verb,
                 spec,
                 store,
                 stores,
-                workers,
-                max_units,
-                out,
+                workers: parse_opt_num(&pairs, "workers")?,
+                max_units: parse_opt_num(&pairs, "max-units")?,
+                out: lookup(&pairs, "out").map(str::to_string),
                 manifest,
                 procs,
                 shards,
@@ -673,18 +675,18 @@ pub fn parse(args: &[String]) -> Result<Command, CliError> {
                 max_retries: parse_num(&pairs, "max-retries", 3)?,
                 backoff_ms: parse_num(&pairs, "backoff-ms", 250)?,
                 heartbeat_timeout_ms: parse_num(&pairs, "heartbeat-timeout-ms", 30_000)?,
-                no_steal,
-                steal_after_ms,
+                no_steal: positional.contains(&"--no-steal"),
+                steal_after_ms: parse_opt_num(&pairs, "steal-after-ms")?,
                 progress: positional.contains(&"--progress"),
                 json: positional.contains(&"--json"),
-                metrics_out,
+                metrics_out: lookup(&pairs, "metrics-out").map(str::to_string),
             })
         }
         "metrics" => {
-            let verb = match positional.get(1) {
-                Some(&"show") => MetricsVerb::Show,
-                Some(&"diff") => MetricsVerb::Diff,
-                Some(&"top") => MetricsVerb::Top,
+            let verb = match args.get(1).map(String::as_str) {
+                Some("show") => MetricsVerb::Show,
+                Some("diff") => MetricsVerb::Diff,
+                Some("top") => MetricsVerb::Top,
                 Some(other) if !other.starts_with("--") => {
                     return Err(err(format!(
                         "unknown metrics verb: {other} (expected show | diff | top)"
@@ -692,6 +694,10 @@ pub fn parse(args: &[String]) -> Result<Command, CliError> {
                 }
                 _ => return Err(err("metrics requires a verb: show | diff | top")),
             };
+            let values: &'static [&'static str] =
+                if verb == MetricsVerb::Top { &["limit"] } else { &[] };
+            let (positional, pairs) =
+                split_flags(args, &format!("metrics {}", args[1]), (values, &["json"]))?;
             let ledgers: Vec<String> = positional[2..]
                 .iter()
                 .filter(|a| !a.starts_with("--"))
@@ -711,18 +717,16 @@ pub fn parse(args: &[String]) -> Result<Command, CliError> {
                 }
                 _ => {}
             }
-            let limit: usize = parse_num(&pairs, "limit", 10)?;
-            if lookup(&pairs, "limit").is_some() && verb != MetricsVerb::Top {
-                return Err(err("--limit is only valid with metrics top"));
-            }
             Ok(Command::Metrics {
                 verb,
                 ledgers,
                 json: positional.contains(&"--json"),
-                limit,
+                limit: parse_num(&pairs, "limit", 10)?,
             })
         }
         "certify" => {
+            let (positional, pairs) =
+                split((&["spec", "level", "sample", "seed", "out"], &[]))?;
             let store = positional
                 .get(1)
                 .ok_or_else(|| err("certify requires a store path: certify STORE --spec FILE"))?
@@ -747,18 +751,23 @@ pub fn parse(args: &[String]) -> Result<Command, CliError> {
                 out: lookup(&pairs, "out").map(str::to_string),
             })
         }
-        "bench-report" => Ok(Command::BenchReport {
-            out: lookup(&pairs, "out").unwrap_or("BENCH_engine.json").to_string(),
-            // `--quick` is value-less: split_flags routes it to positional.
-            quick: positional.contains(&"--quick"),
-            check: lookup(&pairs, "check").map(str::to_string),
-        }),
-        "sweep-p" => Ok(Command::SweepPresence {
-            n: parse_num(&pairs, "n", 10)?,
-            k: parse_num(&pairs, "k", 3)?,
-            horizon: parse_num(&pairs, "horizon", 1500)?,
-            seeds: parse_num(&pairs, "seeds", 5)?,
-        }),
+        "bench-report" => {
+            let (positional, pairs) = split((&["out", "check"], &["quick"]))?;
+            Ok(Command::BenchReport {
+                out: lookup(&pairs, "out").unwrap_or("BENCH_engine.json").to_string(),
+                quick: positional.contains(&"--quick"),
+                check: lookup(&pairs, "check").map(str::to_string),
+            })
+        }
+        "sweep-p" => {
+            let (_, pairs) = split((&["n", "k", "horizon", "seeds"], &[]))?;
+            Ok(Command::SweepPresence {
+                n: parse_num(&pairs, "n", 10)?,
+                k: parse_num(&pairs, "k", 3)?,
+                horizon: parse_num(&pairs, "horizon", 1500)?,
+                seeds: parse_num(&pairs, "seeds", 5)?,
+            })
+        }
         other => Err(err(format!("unknown command: {other}"))),
     }
 }
@@ -1616,6 +1625,110 @@ mod tests {
             .is_err());
         assert!(parse(&args(&["scenario", "--n"])).is_err());
         assert!(parse(&args(&["table1", "--horizon", "abc"])).is_err());
+    }
+
+    #[test]
+    fn unknown_flags_are_usage_errors_naming_the_command() {
+        for (argv, command) in [
+            (&["scenario", "--n", "6", "--k", "3", "--horizn", "50"][..], "scenario"),
+            (&["montecarlo", "--replica", "64"][..], "montecarlo"),
+            (&["table1", "--quick"][..], "table1"),
+            // A campaign flag on the wrong campaign verb.
+            (
+                &["campaign", "report", "--spec", "s", "--store", "t", "--procs", "2"][..],
+                "campaign report",
+            ),
+            (&["campaign", "status", "--manifest", "m", "--progress"][..], "campaign status"),
+        ] {
+            let e = parse(&args(argv)).expect_err("unknown flag");
+            let flag = argv.iter().rev().find(|a| a.starts_with("--")).expect("a flag");
+            assert_eq!(e.to_string(), format!("unknown flag {flag} for {command}"));
+        }
+    }
+
+    /// Arguments that satisfy a command's required flags and positionals.
+    fn required_args(command: &str) -> &'static [&'static str] {
+        match command {
+            "scenario" => &["--n", "6", "--k", "2"],
+            "capture" => &["--n", "6", "--k", "2", "--out", "a.json"],
+            "replay" => &["--file", "a.json"],
+            "campaign run" | "campaign resume" | "campaign report" => {
+                &["--spec", "s.json", "--store", "t.jsonl"]
+            }
+            "campaign shard" => &["--spec", "s.json", "--shards", "2"],
+            "campaign work" => &["--spec", "s.json", "--manifest", "m.json", "--index", "0"],
+            "campaign merge" => &["--spec", "s.json", "--store", "t.jsonl", "--manifest", "m"],
+            "campaign status" => &["--manifest", "m.json"],
+            "metrics show" | "metrics top" => &["l.jsonl"],
+            "metrics diff" => &["a.jsonl", "b.jsonl"],
+            "certify" => &["s.jsonl", "--spec", "c.json", "--level", "2"],
+            _ => &[],
+        }
+    }
+
+    #[test]
+    fn every_flag_usage_lists_parses_for_its_command() {
+        // The synopsis: one `dynring …` entry per command, continued on
+        // more deeply indented lines. A flag written `[--x]` is a switch.
+        let synopsis = USAGE.split("USAGE:\n").nth(1).and_then(|r| r.split("\n\n").next());
+        let mut commands: Vec<(String, Vec<(String, bool)>)> = Vec::new();
+        for line in synopsis.expect("USAGE has a synopsis").lines() {
+            if let Some(rest) = line.trim().strip_prefix("dynring ") {
+                let words: Vec<&str> = rest
+                    .split_whitespace()
+                    .take_while(|w| w.chars().all(|c| c.is_ascii_lowercase() || c == '-'))
+                    .take_while(|w| !w.starts_with("--"))
+                    .collect();
+                commands.push((words.join(" "), Vec::new()));
+            }
+            let (command, flags) = commands.last_mut().expect("a command line first");
+            for (at, _) in line.match_indices("--") {
+                let name: String = line[at..]
+                    .chars()
+                    .take_while(|c| c.is_ascii_alphanumeric() || *c == '-')
+                    .collect();
+                let switch = line[at + name.len()..].starts_with(']');
+                flags.push((name, switch));
+            }
+            let inherit = if line.contains("[same flags as run]") {
+                Some("campaign run")
+            } else if line.contains("[scenario flags]") && command != "scenario" {
+                Some("scenario")
+            } else {
+                None
+            };
+            if let Some(from) = inherit {
+                let (_, inherited) = commands
+                    .iter()
+                    .find(|(c, _)| c == from)
+                    .expect("inherited command listed earlier")
+                    .clone();
+                commands.last_mut().expect("current command").1.extend(inherited);
+            }
+        }
+        let mut checked = 0;
+        for (command, flags) in commands.iter().filter(|(c, _)| !c.is_empty()) {
+            for (flag, switch) in flags {
+                let mut argv: Vec<&str> = command.split(' ').collect();
+                argv.extend(required_args(command));
+                argv.push(flag);
+                if !switch {
+                    argv.push(match flag.as_str() {
+                        "--algorithm" => "pef2",
+                        "--dynamics" => "static",
+                        "--level" => "2",
+                        _ => "1",
+                    });
+                }
+                let parsed = parse(&args(&argv));
+                assert!(
+                    matches!(parsed, Ok(ref c) if *c != Command::Help),
+                    "{argv:?}: {parsed:?}"
+                );
+                checked += 1;
+            }
+        }
+        assert!(checked > 60, "only {checked} flags found in USAGE");
     }
 
     #[test]
