@@ -106,8 +106,8 @@ pub use executor::{
 pub use fault::{FailPlan, FaultKind, ProcessFault};
 pub use merge::{merge_manifest, merge_stores, MergeOutcome};
 pub use metrics::{
-    coarse_rate, render_diff, render_summary, render_top, summarize, FaultSummary,
-    LedgerSummary, MetricsGroup,
+    render_diff, render_summary, render_top, summarize, FaultSummary, LedgerSummary,
+    MetricsGroup,
 };
 pub use runner::{load_report, run_campaign, RunOptions, RunOutcome};
 pub use shard::{shard_range, ShardEntry, ShardManifest, ShardSel, MANIFEST_SCHEMA};

@@ -11,9 +11,11 @@
 //! passes `dynring certify --level 2` unchanged.
 //!
 //! Refusals are loud and named: any cross-shard inconsistency produces a
-//! greppable `MERGE-CONFLICT reason=…` diagnostic (`spec-mismatch`,
-//! `overlap`, `foreign-unit`, `shard-membership`, `range-gap`,
-//! `range-overlap`) instead of a silently wrong canonical store. A
+//! greppable `MERGE-CONFLICT reason=…` diagnostic instead of a silently
+//! wrong canonical store — the store–plan binding's tokens
+//! (`spec-mismatch`, `plan-mismatch`, `foreign-unit`, `shard-membership`,
+//! `route-mismatch`, see [`crate::store::plan_violations`]) plus
+//! `overlap`, `range-gap` and `range-overlap`. A
 //! generation-split manifest (a steal retired a shard at its prefix and
 //! re-sharded the rest, see [`crate::shard`]) needs no special casing:
 //! its entries are still an exact disjoint tiling of the plan, so the
@@ -29,7 +31,7 @@ use std::path::{Path, PathBuf};
 
 use crate::shard::ShardManifest;
 use crate::spec::CampaignSpec;
-use crate::store::{ResultStore, StoreHeader};
+use crate::store::{plan_violations, ResultStore, StoreHeader};
 use crate::CampaignError;
 
 /// What a merge produced.
@@ -74,8 +76,7 @@ fn merge_impl(
     out: &ResultStore,
 ) -> Result<MergeOutcome, CampaignError> {
     let plan = spec.plan()?;
-    let existing = out.load()?;
-    if existing.header.is_some() || !existing.records.is_empty() {
+    if !out.load()?.is_empty() {
         return Err(CampaignError::StoreExists(out.path().display().to_string()));
     }
 
@@ -109,55 +110,23 @@ fn merge_impl(
         }
     }
 
-    // Gather every shard record, keyed by plan index, refusing overlaps
-    // and foreign units by name.
+    // Gather every shard record, keyed by plan index, refusing stores
+    // that are not this plan's (or records outside their manifest range)
+    // and overlaps by name.
     let mut by_index: BTreeMap<usize, (crate::executor::UnitRecord, String)> = BTreeMap::new();
     for (slot, store) in shards.iter().enumerate() {
         let loaded = store.load()?;
         let path = store.path().display().to_string();
-        if let Some(header) = &loaded.header {
-            if header.spec_hash != plan.spec_hash {
-                return Err(conflict(format!(
-                    "reason=spec-mismatch expected={} got={} store={path}",
-                    plan.spec_hash, header.spec_hash
-                )));
-            }
-            if header.name != plan.name || header.planned_units != plan.units.len() {
-                return Err(conflict(format!(
-                    "reason=plan-mismatch expected={}/{} got={}/{} store={path}",
-                    plan.name,
-                    plan.units.len(),
-                    header.name,
-                    header.planned_units
-                )));
-            }
-        } else if !loaded.records.is_empty() {
-            return Err(CampaignError::CorruptStore(format!(
-                "{path}: records without a header"
-            )));
-        }
-        let range = expected.map(|ranges| {
-            let (index, start, units) = ranges[slot];
-            (index, start..start + units)
+        let range = expected.map_or(0..plan.units.len(), |ranges| {
+            let (_, start, units) = ranges[slot];
+            start..start + units
         });
+        if let Some(v) = plan_violations(&plan, &range, loaded.header.as_ref(), &loaded.records)
+            .first()
+        {
+            return Err(conflict(format!("{} store={path}", v.tokens())));
+        }
         for record in loaded.records {
-            if plan.units.get(record.index).map(|p| p.hash.as_str())
-                != Some(record.hash.as_str())
-            {
-                return Err(conflict(format!(
-                    "reason=foreign-unit unit={} index={} store={path}",
-                    record.hash, record.index
-                )));
-            }
-            if let Some((shard, range)) = &range {
-                if !range.contains(&record.index) {
-                    return Err(conflict(format!(
-                        "reason=shard-membership shard={shard} unit={} index={} \
-                         expected={}..{} store={path}",
-                        record.hash, record.index, range.start, range.end
-                    )));
-                }
-            }
             let index = record.index;
             if let Some((_, other)) = by_index.get(&index) {
                 return Err(conflict(format!(

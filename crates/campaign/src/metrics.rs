@@ -1,6 +1,6 @@
 //! Ledger aggregation: the analysis behind `dynring metrics
-//! show|diff|top` and the coarse rate/ETA of one-shot `campaign
-//! status`.
+//! show|diff|top`, and the one rate/ETA estimator shared by one-shot
+//! `campaign status` and the supervisor's `--progress` ticker.
 //!
 //! The events ledger ([`crate::events`]) records *observations*; this
 //! module folds one or more loaded ledgers into a
@@ -223,27 +223,49 @@ pub fn summarize(ledgers: &[LoadedLedger]) -> LedgerSummary {
     }
 }
 
-/// Coarse execution rate from unit-event timestamps: units per
-/// wall-clock second between the first and last [`Event::Unit`].
-/// `None` with fewer than two unit events or a zero span — the
-/// one-shot `campaign status` rate/ETA source when no live supervisor
-/// is observing.
-pub fn coarse_rate(events: &[EventRecord]) -> Option<f64> {
-    let mut first = None;
-    let mut last = 0u64;
-    let mut count = 0usize;
-    for record in events {
-        if matches!(record.event, Event::Unit { .. }) {
-            first.get_or_insert(record.t_ms);
-            last = last.max(record.t_ms);
-            count += 1;
-        }
+/// One progress observation: a time in seconds (on any one clock) and
+/// the units completed by then.
+pub(crate) type Observation = (f64, usize);
+
+/// The one rate/ETA estimator behind `campaign status` and the
+/// supervisor's `--progress` ticker: units per second between two
+/// observations, and the seconds `remaining` units take at that rate.
+/// The rate is `None` when no time passed or the count went backwards;
+/// the ETA is `None` unless the rate is positive.
+pub(crate) fn rate_and_eta(
+    earlier: Observation,
+    later: Observation,
+    remaining: usize,
+) -> (Option<f64>, Option<f64>) {
+    let dt = later.0 - earlier.0;
+    if dt <= 0.0 || later.1 < earlier.1 {
+        return (None, None);
     }
-    let first = first?;
-    if count < 2 || last <= first {
-        return None;
-    }
-    Some((count - 1) as f64 * 1000.0 / (last - first) as f64)
+    let rate = (later.1 - earlier.1) as f64 / dt;
+    let eta = (rate > 0.0).then(|| remaining as f64 / rate);
+    (Some(rate), eta)
+}
+
+/// The first and last unit observations of the ledger's latest run: the
+/// [`Event::Unit`] events after its last [`Event::RunStart`]. A ledger
+/// appends across resumes, so spanning every run would count the idle
+/// gaps between them as execution time. `None` with fewer than two unit
+/// events in that run — the one-shot `campaign status` feeds the result
+/// to [`rate_and_eta`].
+pub(crate) fn latest_run_observations(
+    events: &[EventRecord],
+) -> Option<(Observation, Observation)> {
+    let start = events
+        .iter()
+        .rposition(|r| matches!(r.event, Event::RunStart { .. }))
+        .map_or(0, |i| i + 1);
+    let mut units = events[start..]
+        .iter()
+        .filter(|r| matches!(r.event, Event::Unit { .. }))
+        .map(|r| r.t_ms as f64 / 1000.0);
+    let first = units.next()?;
+    let (count, last) = units.fold((0usize, first), |(n, _), t| (n + 1, t));
+    (count > 0).then_some(((first, 0), (last, count)))
 }
 
 /// Human duration from microseconds: `850us`, `12.5ms`, `3.2s`.
@@ -449,17 +471,53 @@ mod tests {
     }
 
     #[test]
-    fn coarse_rate_needs_two_units_and_a_span() {
-        assert_eq!(coarse_rate(&[]), None);
-        assert_eq!(coarse_rate(&[unit("batch", 1, 100)]), None);
-        assert_eq!(coarse_rate(&[unit("batch", 1, 100), unit("batch", 1, 100)]), None);
-        let r = coarse_rate(&[
-            unit("batch", 1, 0),
-            unit("batch", 1, 500),
-            unit("batch", 1, 1000),
-        ])
-        .expect("rate");
+    fn latest_run_observations_need_two_units_and_a_span() {
+        let rate = |events: &[EventRecord]| {
+            latest_run_observations(events).and_then(|(a, b)| rate_and_eta(a, b, 4).0)
+        };
+        assert_eq!(rate(&[]), None);
+        assert_eq!(rate(&[unit("batch", 1, 100)]), None);
+        assert_eq!(rate(&[unit("batch", 1, 100), unit("batch", 1, 100)]), None);
+        let r = rate(&[unit("batch", 1, 0), unit("batch", 1, 500), unit("batch", 1, 1000)])
+            .expect("rate");
         assert!((r - 2.0).abs() < 1e-9, "{r}");
+    }
+
+    #[test]
+    fn status_rate_spans_only_the_latest_run() {
+        let run_start = |t_ms| EventRecord {
+            t_ms,
+            event: Event::RunStart {
+                schema: crate::events::EVENTS_SCHEMA.into(),
+                name: "c".into(),
+                spec_hash: "h".into(),
+                planned: 120,
+                skipped: 0,
+            },
+        };
+        // Two segments of 60 units each, 10 units/s, separated by an
+        // idle gap of an hour (an interrupted run resumed later).
+        let mut events = vec![run_start(0)];
+        events.extend((0..60).map(|i| unit("serial", 1, 100 * i)));
+        let resumed_at = 3_600_000 + 6_000;
+        events.push(run_start(resumed_at));
+        events.extend((0..60).map(|i| unit("serial", 1, resumed_at + 100 * i)));
+        let (from, to) = latest_run_observations(&events).expect("two units");
+        let (rate, eta) = rate_and_eta(from, to, 30);
+        let rate = rate.expect("rate");
+        assert!((rate - 10.0).abs() < 1e-9, "{rate}");
+        assert!((eta.expect("eta") - 3.0).abs() < 1e-9);
+        // A ledger whose latest run has no unit events yet has no rate.
+        events.push(run_start(resumed_at + 10_000));
+        assert_eq!(latest_run_observations(&events), None);
+    }
+
+    #[test]
+    fn rate_and_eta_share_one_rule_for_stalls_and_regressions() {
+        assert_eq!(rate_and_eta((1.0, 5), (1.0, 9), 10), (None, None));
+        assert_eq!(rate_and_eta((1.0, 5), (2.0, 4), 10), (None, None));
+        assert_eq!(rate_and_eta((1.0, 5), (3.0, 5), 10), (Some(0.0), None));
+        assert_eq!(rate_and_eta((0.0, 0), (2.0, 8), 12), (Some(4.0), Some(3.0)));
     }
 
     #[test]

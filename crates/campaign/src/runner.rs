@@ -109,48 +109,21 @@ impl RunOutcome {
 ///
 /// - [`CampaignError::InvalidSpec`] / [`CampaignError::EmptyPlan`] from
 ///   planning;
-/// - [`CampaignError::StoreExists`] when `opts.fresh` and the store has
-///   content (use `resume`);
 /// - [`CampaignError::SpecMismatch`] when the store belongs to a
 ///   different spec;
 /// - [`CampaignError::CorruptStore`] / [`CampaignError::Io`] on store
-///   damage; [`CampaignError::Scenario`] when a unit is ill-formed (the
-///   first failing unit by plan order, matching serial execution).
+///   damage or a store that is not this plan's (or this shard's), see
+///   [`ResultStore::load_for`];
+/// - [`CampaignError::StoreExists`] when `opts.fresh` and the store has
+///   content (use `resume`);
+/// - [`CampaignError::Scenario`] when a unit is ill-formed (the first
+///   failing unit by plan order, matching serial execution).
 pub fn run_campaign(
     spec: &CampaignSpec,
     store: &ResultStore,
     opts: &RunOptions,
 ) -> Result<RunOutcome, CampaignError> {
     let plan = spec.plan()?;
-    let loaded = store.load()?;
-    if opts.fresh && (loaded.header.is_some() || !loaded.records.is_empty()) {
-        return Err(CampaignError::StoreExists(
-            store.path().display().to_string(),
-        ));
-    }
-    if let Some(header) = &loaded.header {
-        if header.spec_hash != plan.spec_hash {
-            return Err(CampaignError::SpecMismatch {
-                expected: plan.spec_hash.clone(),
-                found: header.spec_hash.clone(),
-            });
-        }
-        if header.name != plan.name || header.planned_units != plan.units.len() {
-            return Err(CampaignError::CorruptStore(format!(
-                "{}: header names campaign {}/{} units, the plan is {}/{} units",
-                store.path().display(),
-                header.name,
-                header.planned_units,
-                plan.name,
-                plan.units.len()
-            )));
-        }
-    } else if !loaded.records.is_empty() {
-        return Err(CampaignError::CorruptStore(format!(
-            "{}: records without a header",
-            store.path().display()
-        )));
-    }
     // Restrict to one shard's slice of the plan when asked. Everything
     // else — header, record shape, chaining — is unchanged, so a shard
     // store is just a normal store whose records happen to be one
@@ -162,30 +135,13 @@ pub fn run_campaign(
         }
         None => 0..plan.units.len(),
     };
-    let slice = &plan.units[shard_range.clone()];
-    // Plan membership: a record must sit at its own plan index. The spec
-    // hash already binds the store to the spec, but this also rejects a
-    // record *transplanted* from another store of the same spec family.
-    for record in &loaded.records {
-        let planned = plan.units.get(record.index);
-        if planned.map(|p| p.hash.as_str()) != Some(record.hash.as_str()) {
-            return Err(CampaignError::CorruptStore(format!(
-                "{}: record {} (unit {}) is not the plan's unit at that index",
-                store.path().display(),
-                record.index,
-                record.hash
-            )));
-        }
-        if opts.shard.is_some() && !shard_range.contains(&record.index) {
-            return Err(CampaignError::CorruptStore(format!(
-                "{}: record {} is outside this shard's range {}..{}",
-                store.path().display(),
-                record.index,
-                shard_range.start,
-                shard_range.end
-            )));
-        }
+    let loaded = store.load_for(&plan, shard_range.clone())?;
+    if opts.fresh && !loaded.is_empty() {
+        return Err(CampaignError::StoreExists(
+            store.path().display().to_string(),
+        ));
     }
+    let slice = &plan.units[shard_range];
     let completed = loaded.completed_hashes();
     let pending: Vec<&PlannedUnit> = slice
         .iter()
@@ -210,7 +166,7 @@ pub fn run_campaign(
 
     let mut appender = store.appender(&loaded)?;
     appender.set_fault(opts.fault);
-    if loaded.header.is_none() {
+    if loaded.is_empty() {
         appender.append_header(StoreHeader {
             name: plan.name.clone(),
             spec_hash: plan.spec_hash.clone(),
@@ -277,9 +233,8 @@ pub fn run_campaign(
         )));
     }
     // Seal on completion. A complete-but-unsealed store (a run
-    // interrupted between its last record and the seal, or a legacy v1
-    // store) gets sealed by the resume that finds it complete; a sealed
-    // resume is a pure no-op.
+    // interrupted between its last record and the seal) gets sealed by
+    // the resume that finds it complete; a sealed resume is a pure no-op.
     if executed == pending.len() && !loaded.sealed {
         appender.seal()?;
         appender.sync()?;
@@ -356,7 +311,8 @@ fn observe_unit(
     Ok(())
 }
 
-/// Loads a store and folds it into the report for `spec`.
+/// Loads a store bound to `spec`'s plan ([`ResultStore::load_for`]) and
+/// folds it into the report.
 ///
 /// # Errors
 ///
@@ -366,15 +322,7 @@ pub fn load_report(
     store: &ResultStore,
 ) -> Result<crate::CampaignReport, CampaignError> {
     let plan = spec.plan()?;
-    let loaded = store.load()?;
-    if let Some(header) = &loaded.header {
-        if header.spec_hash != plan.spec_hash {
-            return Err(CampaignError::SpecMismatch {
-                expected: plan.spec_hash.clone(),
-                found: header.spec_hash.clone(),
-            });
-        }
-    }
+    let loaded = store.load_for(&plan, 0..plan.units.len())?;
     let mut report = crate::aggregate::aggregate(&plan, &loaded.records);
     report.torn_tail = loaded.torn_tail;
     report.torn_bytes = loaded.torn_bytes;

@@ -7,12 +7,11 @@
 //! uninterrupted one, so `resume` — which appends exactly the missing
 //! units, in plan order — reproduces the uninterrupted file bit for bit.
 //!
-//! Since store schema v2 every appended record is a
-//! [`crate::trace::ChainedRecord`]: the unit record plus its result
-//! digest and a hash-chain link committing it to the whole prefix, and a
-//! completed store ends in a sealed [`StoreFooter`] line. Legacy v1
-//! stores (bare `Unit` lines, no footer) still load; they simply cannot
-//! be chain-certified.
+//! Every record is a [`crate::trace::ChainedRecord`]: the unit record
+//! plus its result digest and a hash-chain link committing it to the
+//! whole prefix, and a completed store ends in a sealed [`StoreFooter`]
+//! line. A v1 record line (a bare `{"Unit":…}`, no chain) is refused by
+//! name (`reason=v1-record`), wherever it sits in the file.
 //!
 //! Loading is crash-tolerant but corruption-strict: a trailing partial
 //! (or unparseable) line — the write an interruption cut short — is
@@ -20,20 +19,27 @@
 //! damage *before* the tail (an unparseable interior line, a broken
 //! chain link, a duplicated or reordered record, a forged seal) refuses
 //! with one greppable `STORE-CORRUPT line=… offset=… reason=…`
-//! diagnostic. Records whose hash is not in the current plan are
-//! rejected via the header's spec hash — a store belongs to exactly one
-//! spec.
+//! diagnostic.
+//!
+//! A store is evidence for one plan only: [`plan_violations`] is the one
+//! rule for which records belong to a plan (header spec hash, name and
+//! unit count; every record the plan's unit at its own index, inside the
+//! caller's range, on its own route). Run, resume and report apply it
+//! through [`ResultStore::load_for`]; merge and certify call it on what
+//! they loaded and map its violations to their own refusal classes.
 
 use std::collections::HashSet;
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
+use std::ops::Range;
 use std::path::{Path, PathBuf};
 
 use dynring_obs::names as obs_names;
 use serde::{Deserialize, Serialize};
 
-use crate::executor::UnitRecord;
+use crate::executor::{route_unit, UnitRecord};
 use crate::fault::{FailPlan, FaultKind};
+use crate::spec::CampaignPlan;
 use crate::trace::{chain_seed, chain_step, result_digest, ChainedRecord, StoreFooter, STORE_SCHEMA};
 use crate::CampaignError;
 
@@ -54,11 +60,9 @@ pub struct StoreHeader {
 pub enum StoreLine {
     /// The header (first line).
     Header(StoreHeader),
-    /// A completed unit without chain metadata (legacy v1 stores).
-    Unit(UnitRecord),
-    /// A completed unit with its digest and chain link (schema v2).
+    /// A completed unit with its digest and chain link.
     Chained(ChainedRecord),
-    /// The sealed footer of a completed campaign (schema v2).
+    /// The sealed footer of a completed campaign.
     Seal(StoreFooter),
 }
 
@@ -67,12 +71,15 @@ impl StoreLine {
     fn describe(&self) -> &'static str {
         match self {
             StoreLine::Header(_) => "header",
-            StoreLine::Unit(_) => "record",
             StoreLine::Chained(_) => "record",
             StoreLine::Seal(_) => "seal",
         }
     }
 }
+
+/// How a v1 record line begins (the externally tagged `Unit` variant
+/// that schema v2 replaced with `Chained`).
+const V1_RECORD_PREFIX: &[u8] = b"{\"Unit\":";
 
 /// A parsed store: everything valid on disk plus where valid bytes end.
 #[derive(Debug)]
@@ -89,12 +96,8 @@ pub struct LoadedStore {
     /// How many bytes past `valid_len` the file carried.
     pub torn_bytes: u64,
     /// The chain head over the loaded lines: the header's seed advanced
-    /// by every chained record. `None` for headerless (empty) stores.
+    /// by every record. `None` for headerless (empty) stores.
     pub chain_head: Option<String>,
-    /// Records that carried chain metadata.
-    pub chained: usize,
-    /// Legacy records without chain metadata (v1 stores).
-    pub legacy: usize,
     /// Whether the store ends in a verified seal.
     pub sealed: bool,
 }
@@ -103,6 +106,13 @@ impl LoadedStore {
     /// The hashes of all completed units.
     pub fn completed_hashes(&self) -> HashSet<&str> {
         self.records.iter().map(|r| r.hash.as_str()).collect()
+    }
+
+    /// Whether the store holds nothing yet. A loaded store has records
+    /// only under a header (a record before one breaks the chain), so
+    /// the header alone decides.
+    pub fn is_empty(&self) -> bool {
+        self.header.is_none()
     }
 }
 
@@ -118,14 +128,15 @@ pub(crate) enum ScanLine {
         /// The parsed line (boxed: a record line dwarfs a corrupt entry).
         store_line: Box<StoreLine>,
     },
-    /// An interior line that failed UTF-8 or JSON parsing. (A *final*
-    /// unparseable line is a torn tail, not a scan entry.)
+    /// An interior line that failed UTF-8 or JSON parsing, or a v1
+    /// record line anywhere. (Any other *final* unparseable line is a
+    /// torn tail, not a scan entry.)
     Corrupt {
         /// 1-based line number.
         line: usize,
         /// Byte offset of the line start.
         offset: u64,
-        /// `invalid-utf8` or `unparseable-json`.
+        /// `invalid-utf8`, `unparseable-json` or `v1-record`.
         reason: &'static str,
     },
 }
@@ -161,6 +172,87 @@ impl Violation {
     fn new(unit: &str, reason: &'static str, expected: String, got: String) -> Self {
         Violation { unit: unit.to_string(), reason, expected, got }
     }
+
+    /// `reason=… unit=… expected=… got=…`: the body of the
+    /// `STORE-CORRUPT` and `MERGE-CONFLICT` renderings of a plan
+    /// violation.
+    pub(crate) fn tokens(&self) -> String {
+        format!(
+            "reason={} unit={} expected={} got={}",
+            self.reason, self.unit, self.expected, self.got
+        )
+    }
+}
+
+/// The store–plan binding: every way `header` and `records` fail to be
+/// `plan`'s store restricted to the plan indices in `range`, header
+/// violations first, then each record's in file order.
+///
+/// - `spec-mismatch`: the header's spec hash is not the plan's;
+/// - `plan-mismatch`: the header's name or planned-unit count is not
+///   the plan's;
+/// - `foreign-unit`: a record is not the plan's unit at its own index
+///   (or its index is past the plan's end);
+/// - `shard-membership`: a record's index lies outside `range`;
+/// - `route-mismatch`: a record's stored route is not the one
+///   [`route_unit`] picks for its unit.
+///
+/// A missing header binds nothing (an empty store belongs to every
+/// plan); the verifier already refuses records without one.
+pub(crate) fn plan_violations(
+    plan: &CampaignPlan,
+    range: &Range<usize>,
+    header: Option<&StoreHeader>,
+    records: &[UnitRecord],
+) -> Vec<Violation> {
+    let mut violations = Vec::new();
+    if let Some(header) = header {
+        if header.spec_hash != plan.spec_hash {
+            violations.push(Violation::new(
+                "-",
+                "spec-mismatch",
+                plan.spec_hash.clone(),
+                header.spec_hash.clone(),
+            ));
+        }
+        if header.name != plan.name || header.planned_units != plan.units.len() {
+            violations.push(Violation::new(
+                "-",
+                "plan-mismatch",
+                format!("{}/{}", plan.name, plan.units.len()),
+                format!("{}/{}", header.name, header.planned_units),
+            ));
+        }
+    }
+    for record in records {
+        match plan.units.get(record.index) {
+            Some(planned) if planned.hash == record.hash => {}
+            planned => violations.push(Violation::new(
+                &record.hash,
+                "foreign-unit",
+                planned.map_or_else(|| format!("index<{}", plan.units.len()), |p| p.hash.clone()),
+                format!("{}@{}", record.hash, record.index),
+            )),
+        }
+        if !range.contains(&record.index) {
+            violations.push(Violation::new(
+                &record.hash,
+                "shard-membership",
+                format!("{}..{}", range.start, range.end),
+                record.index.to_string(),
+            ));
+        }
+        let route = route_unit(&record.unit).name();
+        if record.route != route {
+            violations.push(Violation::new(
+                &record.hash,
+                "route-mismatch",
+                route.to_string(),
+                record.route.clone(),
+            ));
+        }
+    }
+    violations
 }
 
 /// The shared semantic checker behind [`ResultStore::load`] (stop at the
@@ -173,12 +265,8 @@ pub(crate) struct StoreVerifier {
     pub header: Option<StoreHeader>,
     /// The chain head after every accepted line.
     pub chain_head: Option<String>,
-    /// Unit records in file order (legacy and chained alike).
+    /// Unit records in file order.
     pub records: Vec<UnitRecord>,
-    /// Records that carried chain metadata.
-    pub chained: usize,
-    /// Legacy records without chain metadata.
-    pub legacy: usize,
     /// Whether a seal line was seen.
     pub sealed: bool,
     seen: HashSet<String>,
@@ -191,8 +279,6 @@ impl StoreVerifier {
             header: None,
             chain_head: None,
             records: Vec::new(),
-            chained: 0,
-            legacy: 0,
             sealed: false,
             seen: HashSet::new(),
             last_index: None,
@@ -235,14 +321,8 @@ impl StoreVerifier {
                     self.header = Some(header);
                 }
             }
-            StoreLine::Unit(record) => {
-                self.check_record(&record, None, &mut violations);
-                self.legacy += 1;
-                self.records.push(record);
-            }
             StoreLine::Chained(chained) => {
-                self.check_record(&chained.record.clone(), Some(&chained), &mut violations);
-                self.chained += 1;
+                self.check_record(&chained, &mut violations);
                 self.records.push(chained.record);
             }
             StoreLine::Seal(footer) => {
@@ -255,12 +335,8 @@ impl StoreVerifier {
         violations
     }
 
-    fn check_record(
-        &mut self,
-        record: &UnitRecord,
-        chained: Option<&ChainedRecord>,
-        violations: &mut Vec<Violation>,
-    ) {
+    fn check_record(&mut self, chained: &ChainedRecord, violations: &mut Vec<Violation>) {
+        let record = &chained.record;
         let computed = record.unit.content_hash();
         if record.hash != computed {
             violations.push(Violation::new(
@@ -289,40 +365,38 @@ impl StoreVerifier {
             }
         }
         self.last_index = Some(record.index);
-        if let Some(chained) = chained {
-            let digest = result_digest(record);
-            if chained.digest != digest {
-                violations.push(Violation::new(
-                    &record.hash,
-                    "digest-mismatch",
-                    digest,
-                    chained.digest.clone(),
-                ));
-            }
-            // The chain consumes the *stored* digest: a corrupt result
-            // breaks the digest check alone, a corrupt chain field breaks
-            // the chain check alone.
-            match &self.chain_head {
-                Some(head) => {
-                    let expected = chain_step(head, &record.hash, &chained.digest);
-                    if chained.chain != expected {
-                        violations.push(Violation::new(
-                            &record.hash,
-                            "chain-mismatch",
-                            expected,
-                            chained.chain.clone(),
-                        ));
-                    }
-                }
-                None => violations.push(Violation::new(
-                    &record.hash,
-                    "chain-unseeded",
-                    "header-before-records".into(),
-                    "no-header".into(),
-                )),
-            }
-            self.chain_head = Some(chained.chain.clone());
+        let digest = result_digest(record);
+        if chained.digest != digest {
+            violations.push(Violation::new(
+                &record.hash,
+                "digest-mismatch",
+                digest,
+                chained.digest.clone(),
+            ));
         }
+        // The chain consumes the *stored* digest: a corrupt result breaks
+        // the digest check alone, a corrupt chain field breaks the chain
+        // check alone.
+        match &self.chain_head {
+            Some(head) => {
+                let expected = chain_step(head, &record.hash, &chained.digest);
+                if chained.chain != expected {
+                    violations.push(Violation::new(
+                        &record.hash,
+                        "chain-mismatch",
+                        expected,
+                        chained.chain.clone(),
+                    ));
+                }
+            }
+            None => violations.push(Violation::new(
+                &record.hash,
+                "chain-unseeded",
+                "header-before-records".into(),
+                "no-header".into(),
+            )),
+        }
+        self.chain_head = Some(chained.chain.clone());
     }
 
     fn check_seal(&mut self, footer: &StoreFooter, violations: &mut Vec<Violation>) {
@@ -430,7 +504,9 @@ impl ResultStore {
     /// refuses at the first). A missing file is an empty scan; an
     /// unparseable *final* line (or an unterminated tail) is torn, not
     /// corrupt — an interruption can cut a buffer flush anywhere,
-    /// including just after a newline.
+    /// including just after a newline. The exception is a v1 record
+    /// line: it is `v1-record` corruption even as the final line, so a
+    /// resume refuses it instead of truncating the record away.
     ///
     /// Bytes, not a `String`: a torn write can split a multi-byte UTF-8
     /// character, and that tail must be truncated like any other torn
@@ -455,28 +531,25 @@ impl ResultStore {
                 // No terminating newline: a torn trailing write.
                 break;
             };
-            let is_last_line = offset + nl + 1 == bytes.len();
+            let text = &bytes[offset..offset + nl];
             line_no += 1;
-            let entry = match std::str::from_utf8(&bytes[offset..offset + nl]) {
-                Err(_) if is_last_line => break,
-                Err(_) => ScanLine::Corrupt {
+            let parsed = match std::str::from_utf8(text) {
+                Err(_) => Err("invalid-utf8"),
+                Ok(text) => serde_json::from_str::<StoreLine>(text).map_err(|_| "unparseable-json"),
+            };
+            let entry = match parsed {
+                Ok(store_line) => ScanLine::Parsed {
                     line: line_no,
                     offset: offset as u64,
-                    reason: "invalid-utf8",
+                    store_line: Box::new(store_line),
                 },
-                Ok(text) => match serde_json::from_str::<StoreLine>(text) {
-                    Ok(store_line) => ScanLine::Parsed {
-                        line: line_no,
-                        offset: offset as u64,
-                        store_line: Box::new(store_line),
-                    },
-                    Err(_) if is_last_line => break,
-                    Err(_) => ScanLine::Corrupt {
-                        line: line_no,
-                        offset: offset as u64,
-                        reason: "unparseable-json",
-                    },
+                Err(_) if text.starts_with(V1_RECORD_PREFIX) => ScanLine::Corrupt {
+                    line: line_no,
+                    offset: offset as u64,
+                    reason: "v1-record",
                 },
+                Err(_) if offset + nl + 1 == bytes.len() => break,
+                Err(reason) => ScanLine::Corrupt { line: line_no, offset: offset as u64, reason },
             };
             lines.push(entry);
             offset += nl + 1;
@@ -493,14 +566,16 @@ impl ResultStore {
     /// tail ends the valid region; everything before it must parse *and*
     /// satisfy the semantic rules — content hashes, digests, chain
     /// continuity, record ordering, no duplicates, a valid seal if one is
-    /// present.
+    /// present. It does not bind the store to a plan: see
+    /// [`ResultStore::load_for`].
     ///
     /// # Errors
     ///
     /// [`CampaignError::Io`] on unreadable files,
     /// [`CampaignError::CorruptStore`] — one `STORE-CORRUPT line=…
     /// offset=… reason=…` line — when a non-trailing line fails to parse
-    /// or verify (truncating the tail cannot repair it).
+    /// or verify (truncating the tail cannot repair it), or when any line
+    /// is a v1 record.
     pub fn load(&self) -> Result<LoadedStore, CampaignError> {
         let scan = self.scan()?;
         let mut verifier = StoreVerifier::new();
@@ -523,10 +598,38 @@ impl ResultStore {
             torn_tail: scan.torn_bytes > 0,
             torn_bytes: scan.torn_bytes,
             chain_head: verifier.chain_head,
-            chained: verifier.chained,
-            legacy: verifier.legacy,
             sealed: verifier.sealed,
         })
+    }
+
+    /// [`ResultStore::load`], then the store–plan binding
+    /// ([`plan_violations`]) against `plan` restricted to `range`: the
+    /// loader behind `run`, `resume` and `report`.
+    ///
+    /// # Errors
+    ///
+    /// Everything [`ResultStore::load`] returns;
+    /// [`CampaignError::SpecMismatch`] when the header names another
+    /// spec; otherwise, for the first violation, one
+    /// `STORE-CORRUPT reason=… unit=… expected=… got=… file=…` line.
+    pub fn load_for(
+        &self,
+        plan: &CampaignPlan,
+        range: Range<usize>,
+    ) -> Result<LoadedStore, CampaignError> {
+        let loaded = self.load()?;
+        let violations = plan_violations(plan, &range, loaded.header.as_ref(), &loaded.records);
+        match violations.into_iter().next() {
+            None => Ok(loaded),
+            Some(v) if v.reason == "spec-mismatch" => {
+                Err(CampaignError::SpecMismatch { expected: v.expected, found: v.got })
+            }
+            Some(v) => Err(CampaignError::CorruptStore(format!(
+                "STORE-CORRUPT {} file={}",
+                v.tokens(),
+                self.path.display()
+            ))),
+        }
     }
 
     /// Opens the file for appending at `valid_len`, truncating any torn
@@ -553,9 +656,8 @@ impl ResultStore {
         Ok(file)
     }
 
-    /// Serializes one line and appends it (newline-terminated). The raw
-    /// primitive behind the appender; writes no chain metadata (tests and
-    /// legacy tooling only — campaign execution goes through
+    /// Serializes one line and appends it (newline-terminated). Writes
+    /// no chain metadata (tests only — campaign execution goes through
     /// [`ResultStore::appender`]).
     ///
     /// # Errors
@@ -800,27 +902,19 @@ mod tests {
         ResultStore::new(path)
     }
 
-    fn write_store(store: &ResultStore, lines: &[StoreLine]) {
-        let mut file = store.open_for_append(0).expect("open");
-        for line in lines {
-            ResultStore::append_line(&mut file, line).expect("append");
-        }
-    }
-
-    fn header() -> StoreLine {
-        StoreLine::Header(StoreHeader {
+    fn header() -> StoreHeader {
+        StoreHeader {
             name: "t".into(),
             spec_hash: "0123456789abcdef".into(),
             planned_units: 2,
-        })
+        }
     }
 
-    /// Writes a chained v2 store (header + n records), unsealed.
+    /// Writes a chained store (header + n records), unsealed.
     fn write_chained(store: &ResultStore, n: usize) {
         let loaded = store.load().expect("loads");
         let mut appender = store.appender(&loaded).expect("appender");
-        let StoreLine::Header(h) = header() else { unreachable!() };
-        appender.append_header(h).expect("header");
+        appender.append_header(header()).expect("header");
         for i in 0..n {
             appender.append_record(record(i)).expect("record");
         }
@@ -829,15 +923,13 @@ mod tests {
     #[test]
     fn round_trips_header_and_records() {
         let store = temp_store("roundtrip");
-        write_store(&store, &[header(), StoreLine::Unit(record(0)), StoreLine::Unit(record(1))]);
+        write_chained(&store, 2);
         let loaded = store.load().expect("loads");
         assert_eq!(loaded.header.as_ref().map(|h| h.planned_units), Some(2));
         assert_eq!(loaded.records, vec![record(0), record(1)]);
         assert!(!loaded.torn_tail);
-        // Bare `Unit` lines are the legacy form: loadable, not chained.
-        assert_eq!(loaded.legacy, 2);
-        assert_eq!(loaded.chained, 0);
         assert!(!loaded.sealed);
+        assert!(!loaded.is_empty());
         let _ = std::fs::remove_file(store.path());
     }
 
@@ -854,27 +946,25 @@ mod tests {
     #[test]
     fn torn_tail_is_detected_and_truncated_on_append() {
         let store = temp_store("torn");
-        write_store(&store, &[header(), StoreLine::Unit(record(0))]);
+        write_chained(&store, 1);
         let clean_len = store.load().expect("loads").valid_len;
         // Simulate an interrupted write: half a record, no newline.
+        let torn = b"{\"Chained\":{\"record\":{\"hash\":\"dead";
         let mut file = store.open_for_append(clean_len).expect("open");
-        file.write_all(b"{\"Unit\":{\"hash\":\"dead").expect("write");
+        file.write_all(torn).expect("write");
         drop(file);
         let loaded = store.load().expect("loads");
         assert!(loaded.torn_tail);
-        assert_eq!(loaded.torn_bytes, 21);
+        assert_eq!(loaded.torn_bytes, torn.len() as u64);
         assert_eq!(loaded.valid_len, clean_len);
         assert_eq!(loaded.records.len(), 1);
         // Appending after truncation yields the same file as never having
         // torn it.
-        let mut file = store.open_for_append(loaded.valid_len).expect("open");
-        ResultStore::append_line(&mut file, &StoreLine::Unit(record(1))).expect("append");
-        drop(file);
+        let mut appender = store.appender(&loaded).expect("appender");
+        appender.append_record(record(1)).expect("append");
+        drop(appender);
         let reference = temp_store("torn_ref");
-        write_store(
-            &reference,
-            &[header(), StoreLine::Unit(record(0)), StoreLine::Unit(record(1))],
-        );
+        write_chained(&reference, 2);
         let a = std::fs::read(store.path()).expect("read");
         let b = std::fs::read(reference.path()).expect("read");
         assert_eq!(a, b);
@@ -907,10 +997,10 @@ mod tests {
         // an interruption can cut the file mid-character. That tail must
         // be truncated like any other torn write.
         let store = temp_store("torn_utf8");
-        write_store(&store, &[header(), StoreLine::Unit(record(0))]);
+        write_chained(&store, 1);
         let clean_len = store.load().expect("loads").valid_len;
         let mut file = store.open_for_append(clean_len).expect("open");
-        let torn = "{\"Unit\":{\"hash\":\"café".as_bytes();
+        let torn = "{\"Chained\":{\"record\":{\"hash\":\"café".as_bytes();
         // Cut inside the two-byte 'é'.
         file.write_all(&torn[..torn.len() - 1]).expect("write");
         drop(file);
@@ -924,14 +1014,35 @@ mod tests {
     #[test]
     fn unparseable_final_line_counts_as_torn() {
         let store = temp_store("torn_final");
-        write_store(&store, &[header()]);
+        write_chained(&store, 0);
         let clean_len = store.load().expect("loads").valid_len;
         let mut file = store.open_for_append(clean_len).expect("open");
-        file.write_all(b"{\"Unit\":{\"hash\"\n").expect("write");
+        file.write_all(b"{\"Chained\":{\"record\"\n").expect("write");
         drop(file);
         let loaded = store.load().expect("loads");
         assert!(loaded.torn_tail);
         assert_eq!(loaded.valid_len, clean_len);
+        let _ = std::fs::remove_file(store.path());
+    }
+
+    #[test]
+    fn v1_record_lines_are_refused_by_name_even_as_the_final_line() {
+        let store = temp_store("v1");
+        write_chained(&store, 0);
+        let clean_len = store.load().expect("loads").valid_len;
+        let v1 = format!("{{\"Unit\":{}}}\n", serde_json::to_string(&record(0)).expect("json"));
+        let mut file = store.open_for_append(clean_len).expect("open");
+        file.write_all(v1.as_bytes()).expect("write");
+        drop(file);
+        let err = store.load().expect_err("a v1 line must refuse, not truncate");
+        let msg = err.to_string();
+        let expected = format!("STORE-CORRUPT line=2 offset={clean_len} reason=v1-record");
+        assert!(msg.contains(&expected), "{msg}");
+        // An interior v1 line refuses the same way.
+        let text = std::fs::read_to_string(store.path()).expect("read");
+        std::fs::write(store.path(), text + &v1).expect("write");
+        let msg = store.load().expect_err("an interior v1 line must refuse").to_string();
+        assert!(msg.contains("line=2") && msg.contains("reason=v1-record"), "{msg}");
         let _ = std::fs::remove_file(store.path());
     }
 
@@ -941,8 +1052,6 @@ mod tests {
         write_chained(&store, 2);
         let loaded = store.load().expect("loads");
         assert_eq!(loaded.records.len(), 2);
-        assert_eq!(loaded.chained, 2);
-        assert_eq!(loaded.legacy, 0);
         assert!(!loaded.sealed);
         // Seal it through a fresh appender (as a resume would).
         let mut appender = store.appender(&loaded).expect("appender");

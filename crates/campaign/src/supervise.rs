@@ -48,7 +48,7 @@ use serde::Serialize;
 
 use crate::events::{Event, EventLedger, LedgerAppender};
 use crate::fault::SHARD_ATTEMPT_ENV;
-use crate::metrics::coarse_rate;
+use crate::metrics::{latest_run_observations, rate_and_eta, Observation};
 use crate::shard::ShardManifest;
 use crate::store::ResultStore;
 use crate::CampaignError;
@@ -184,18 +184,30 @@ pub struct ShardProgress {
     pub state: String,
 }
 
-/// Reads one store into a static [`ShardProgress`] row. Rate/ETA are
-/// derived coarsely from the store's events ledger when a telemetered
-/// run left one (`<store>.events.jsonl`, first-to-last unit-event
-/// spacing); otherwise they are `None` — the supervisor's `--progress`
-/// view overrides them with its live two-observation rate. `total`
-/// overrides the denominator when the caller knows the shard's range
-/// (manifest); otherwise the header's planned units are used.
-///
-/// # Errors
-///
-/// Store loading errors ([`CampaignError::CorruptStore`] etc.).
-pub fn shard_progress(
+impl ShardProgress {
+    /// The row for a store that refuses to load: nothing counts as
+    /// completed out of `total`.
+    pub fn corrupt(shard: usize, store: &str, total: usize) -> Self {
+        ShardProgress {
+            shard,
+            store: store.to_string(),
+            completed: 0,
+            total,
+            units_per_sec: None,
+            eta_secs: None,
+            sealed: false,
+            torn: false,
+            torn_bytes: 0,
+            attempts: None,
+            state: "corrupt".into(),
+        }
+    }
+}
+
+/// Reads one store into a [`ShardProgress`] row without rate or ETA.
+/// `total` overrides the denominator when the caller knows the shard's
+/// range (manifest); otherwise the header's planned units are used.
+fn store_progress(
     store: &ResultStore,
     shard: usize,
     total: Option<usize>,
@@ -204,28 +216,13 @@ pub fn shard_progress(
     let total =
         total.or_else(|| loaded.header.as_ref().map(|h| h.planned_units)).unwrap_or(0);
     let completed = loaded.records.len();
-    // A static view has no second observation to derive a rate from —
-    // but a telemetered run left unit timestamps in the store's events
-    // ledger. Derive a coarse units/sec (and ETA) from those, so
-    // one-shot `campaign status` reports rate too.
-    let remaining = total.saturating_sub(completed);
-    let mut units_per_sec = None;
-    let mut eta_secs = None;
-    if remaining > 0 {
-        if let Ok(ledger) = EventLedger::for_store(store.path()).load() {
-            if let Some(rate) = coarse_rate(&ledger.events) {
-                units_per_sec = Some(rate);
-                eta_secs = Some(remaining as f64 / rate);
-            }
-        }
-    }
     let state = if loaded.sealed {
         "sealed"
     } else if total > 0 && completed >= total {
         "complete"
     } else if loaded.torn_tail {
         "torn"
-    } else if loaded.header.is_none() {
+    } else if loaded.is_empty() {
         "empty"
     } else {
         "open"
@@ -235,14 +232,41 @@ pub fn shard_progress(
         store: store.path().display().to_string(),
         completed,
         total,
-        units_per_sec,
-        eta_secs,
+        units_per_sec: None,
+        eta_secs: None,
         sealed: loaded.sealed,
         torn: loaded.torn_tail,
         torn_bytes: loaded.torn_bytes,
         attempts: None,
         state: state.into(),
     })
+}
+
+/// Reads one store into the static [`ShardProgress`] row of one-shot
+/// `campaign status`. A static view has no second observation of its
+/// own, but a telemetered run left unit timestamps in the store's
+/// events ledger (`<store>.events.jsonl`): rate and ETA come from the
+/// first and last unit events of its latest run
+/// ([`latest_run_observations`]), and are `None` without a ledger.
+/// `total` overrides the denominator as in the supervisor's rows.
+///
+/// # Errors
+///
+/// Store loading errors ([`CampaignError::CorruptStore`] etc.).
+pub fn shard_progress(
+    store: &ResultStore,
+    shard: usize,
+    total: Option<usize>,
+) -> Result<ShardProgress, CampaignError> {
+    let mut row = store_progress(store, shard, total)?;
+    let remaining = row.total.saturating_sub(row.completed);
+    if remaining > 0 {
+        let ledger = EventLedger::for_store(store.path()).load();
+        if let Some((first, last)) = ledger.ok().and_then(|l| latest_run_observations(&l.events)) {
+            (row.units_per_sec, row.eta_secs) = rate_and_eta(first, last, remaining);
+        }
+    }
+    Ok(row)
 }
 
 /// Renders progress rows as one aligned table (the non-`--json` form of
@@ -304,8 +328,9 @@ struct WorkerSlot {
     restart_at: Option<Instant>,
     done: bool,
     quarantined: bool,
-    sample: Option<(Instant, usize)>,
-    rate: Option<f64>,
+    /// The previous progress observation, in seconds since the
+    /// supervisor started.
+    sample: Option<Observation>,
 }
 
 impl WorkerSlot {
@@ -409,7 +434,6 @@ pub fn supervise(
                 done,
                 quarantined: false,
                 sample: None,
-                rate: None,
             }
         })
         .collect();
@@ -689,7 +713,6 @@ pub fn supervise(
                     done: false,
                     quarantined: false,
                     sample: None,
-                    rate: None,
                 };
                 spawn_worker(
                     exe,
@@ -710,7 +733,7 @@ pub fn supervise(
                 .iter_mut()
                 .map(|slot| {
                     let attempts = manifest.entries[slot.shard].attempts;
-                    progress_row(slot, Some(attempts))
+                    progress_row(slot, Some(attempts), now0)
                 })
                 .collect();
             if opts.progress_json {
@@ -741,40 +764,23 @@ pub fn supervise(
     })
 }
 
-/// Builds one live progress row, updating the slot's rate estimate from
-/// the previous observation.
-fn progress_row(slot: &mut WorkerSlot, attempts: Option<usize>) -> ShardProgress {
-    let mut row = shard_progress(&slot.store, slot.shard, Some(slot.units)).unwrap_or(
-        ShardProgress {
-            shard: slot.shard,
-            store: slot.store.path().display().to_string(),
-            completed: 0,
-            total: slot.units,
-            units_per_sec: None,
-            eta_secs: None,
-            sealed: false,
-            torn: false,
-            torn_bytes: 0,
-            attempts: None,
-            state: "corrupt".into(),
-        },
-    );
+/// Builds one live progress row from the store alone (no ledger), with
+/// the rate and ETA of a running shard estimated from the slot's
+/// previous observation.
+fn progress_row(slot: &mut WorkerSlot, attempts: Option<usize>, origin: Instant) -> ShardProgress {
+    let mut row = store_progress(&slot.store, slot.shard, Some(slot.units)).unwrap_or_else(|_| {
+        ShardProgress::corrupt(slot.shard, &slot.store.path().display().to_string(), slot.units)
+    });
     row.attempts = attempts;
-    let now = Instant::now();
-    if let Some((t0, c0)) = slot.sample {
-        let dt = now.duration_since(t0).as_secs_f64();
-        if dt > 0.0 && row.completed >= c0 {
-            slot.rate = Some((row.completed - c0) as f64 / dt);
-        }
-    }
-    slot.sample = Some((now, row.completed));
+    let now = (origin.elapsed().as_secs_f64(), row.completed);
+    let previous = slot.sample.replace(now);
     if slot.quarantined {
         row.state = "quarantined".into();
     } else if slot.child.is_some() {
         row.state = "running".into();
-        row.units_per_sec = slot.rate;
-        if let Some(rate) = slot.rate.filter(|r| *r > 0.0) {
-            row.eta_secs = Some((row.total.saturating_sub(row.completed)) as f64 / rate);
+        if let Some(previous) = previous {
+            let remaining = row.total.saturating_sub(row.completed);
+            (row.units_per_sec, row.eta_secs) = rate_and_eta(previous, now, remaining);
         }
     } else if slot.restart_at.is_some() {
         row.state = "backoff".into();

@@ -266,7 +266,6 @@ fn certify_level_2_catches_a_consistently_altered_result() {
                 header = Some(h);
             }
             StoreLine::Chained(chained) => records.push(chained.record),
-            StoreLine::Unit(record) => records.push(record),
             StoreLine::Seal(_) => {}
         }
     }

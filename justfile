@@ -77,6 +77,8 @@ montecarlo-large:
 # store at level 1 (header / hash chain / plan membership / seal) and at
 # level 2 (seeded sampled re-execution), then corrupt one byte of a copy
 # and check certification fails with a greppable CERTIFY-FAIL line.
+# Finally rewrite the last record of an unsealed copy as a v1 line and
+# check resume refuses it by name and leaves the file untouched.
 certify-smoke: campaign-smoke
     cargo run --release -- certify target/campaign-smoke.jsonl --spec examples/campaign_smoke.json
     cargo run --release -- certify target/campaign-smoke.jsonl --spec examples/campaign_smoke.json --level 2 --sample 8 --seed 7 --out target/certify-verdict.json
@@ -84,6 +86,11 @@ certify-smoke: campaign-smoke
     printf '\0' | dd of=target/campaign-smoke-corrupt.jsonl bs=1 seek=2048 conv=notrunc status=none
     if cargo run --release -- certify target/campaign-smoke-corrupt.jsonl --spec examples/campaign_smoke.json > target/certify-corrupt.log 2>&1; then echo "a corrupted bundle must not certify"; exit 1; fi
     grep -q 'CERTIFY-FAIL' target/certify-corrupt.log
+    sed '$d' target/campaign-smoke.jsonl | sed '$ s/^{"Chained":{"record":\(.*\),"digest":"[0-9a-f]*","chain":"[0-9a-f]*"}}$/{"Unit":\1}/' > target/campaign-smoke-v1.jsonl
+    cp target/campaign-smoke-v1.jsonl target/campaign-smoke-v1.orig
+    if cargo run --release -- campaign resume --spec examples/campaign_smoke.json --store target/campaign-smoke-v1.jsonl > target/v1-resume.log 2>&1; then echo "a v1 record line must not resume"; exit 1; fi
+    grep -q 'STORE-CORRUPT .*reason=v1-record' target/v1-resume.log
+    cmp target/campaign-smoke-v1.jsonl target/campaign-smoke-v1.orig
 
 # CI gate for distributed campaigns (see docs/CAMPAIGNS.md): shard the
 # committed smoke spec over 4 worker processes, kill shard 1's first

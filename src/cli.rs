@@ -772,6 +772,32 @@ pub fn parse(args: &[String]) -> Result<Command, CliError> {
     }
 }
 
+/// Reads and parses a campaign spec file.
+fn load_spec(path: &str) -> Result<dynring_campaign::CampaignSpec, Box<dyn Error>> {
+    let json = std::fs::read_to_string(path)?;
+    Ok(serde_json::from_str(&json)
+        .map_err(|e| CliError(format!("cannot parse campaign spec {path}: {e}")))?)
+}
+
+/// Appends a merge's `Merge` event to the events ledger beside
+/// `store_path` (the `--metrics-out` record of `campaign merge` and of
+/// the supervisor's final merge).
+fn log_merge(
+    store_path: &str,
+    outcome: &dynring_campaign::MergeOutcome,
+) -> Result<(), Box<dyn Error>> {
+    use dynring_campaign::{Event, EventLedger};
+
+    let mut app = EventLedger::for_store(std::path::Path::new(store_path)).appender()?;
+    app.append(Event::Merge {
+        shards: outcome.shards,
+        merged: outcome.merged,
+        sealed: outcome.sealed,
+    })?;
+    app.sync()?;
+    Ok(())
+}
+
 /// Writes the process-global metrics registry to `path`: Prometheus
 /// text exposition when the path ends in `.prom`, pretty JSON
 /// otherwise. Called at the end of a `--metrics-out` campaign verb, so
@@ -957,9 +983,16 @@ pub fn run(command: Command) -> Result<(), Box<dyn Error>> {
             };
             use dynring_campaign::{
                 load_report, merge_manifest, merge_stores, render, render_progress,
-                run_campaign, shard_progress, supervise, CampaignError, Event, EventLedger,
-                FailPlan, FaultKind, ResultStore, RunOptions, ShardManifest, ShardSel,
-                SuperviseOptions,
+                run_campaign, shard_progress, supervise, CampaignError, EventLedger, FailPlan,
+                FaultKind, ResultStore, RunOptions, RunOutcome, ShardManifest, ShardProgress,
+                ShardSel, SuperviseOptions,
+            };
+
+            // With `--metrics-out`, events go to the ledger beside a store.
+            let events_for = |store_path: &str| {
+                metrics_out
+                    .as_ref()
+                    .map(|_| EventLedger::for_store(Path::new(store_path)).path().to_path_buf())
             };
 
             // `status` is spec-free: each store is read on its own terms
@@ -976,19 +1009,7 @@ pub fn run(command: Command) -> Result<(), Box<dyn Error>> {
                             e.index,
                             Some(e.units),
                         )
-                        .unwrap_or_else(|_| dynring_campaign::ShardProgress {
-                            shard: e.index,
-                            store: e.store.clone(),
-                            completed: 0,
-                            total: e.units,
-                            units_per_sec: None,
-                            eta_secs: None,
-                            sealed: false,
-                            torn: false,
-                            torn_bytes: 0,
-                            attempts: None,
-                            state: "corrupt".into(),
-                        });
+                        .unwrap_or_else(|_| ShardProgress::corrupt(e.index, &e.store, e.units));
                         row.attempts = Some(e.attempts);
                         rows.push(row);
                     }
@@ -1005,9 +1026,7 @@ pub fn run(command: Command) -> Result<(), Box<dyn Error>> {
                 return Ok(());
             }
             let spec_path = spec.expect("parse guarantees --spec outside status");
-            let spec_json = std::fs::read_to_string(&spec_path)?;
-            let campaign: dynring_campaign::CampaignSpec = serde_json::from_str(&spec_json)
-                .map_err(|e| CliError(format!("cannot parse campaign spec {spec_path}: {e}")))?;
+            let campaign = load_spec(&spec_path)?;
             match verb {
                 CampaignVerb::Status => unreachable!("handled above"),
                 CampaignVerb::Shard => {
@@ -1072,11 +1091,7 @@ pub fn run(command: Command) -> Result<(), Box<dyn Error>> {
                             units: entry.units,
                         }),
                         poison: None,
-                        events: metrics_out.as_ref().map(|_| {
-                            EventLedger::for_store(Path::new(&entry.store))
-                                .path()
-                                .to_path_buf()
-                        }),
+                        events: events_for(&entry.store),
                         slow_unit: None,
                     };
                     if let Some(ProcessFault::SlowUnit { index: i, ms }) = &fault {
@@ -1097,13 +1112,15 @@ pub fn run(command: Command) -> Result<(), Box<dyn Error>> {
                         "shard {idx}/{}: {} units, attempt {attempt} (store {})",
                         man.shards, entry.units, entry.store
                     );
+                    let print_outcome = |outcome: &RunOutcome| {
+                        println!(
+                            "shard {idx}: {} executed, {} skipped, {} pending",
+                            outcome.executed, outcome.skipped, outcome.pending
+                        );
+                    };
                     match &fault {
                         None | Some(ProcessFault::SlowUnit { .. }) => {
-                            let outcome = run_campaign(&campaign, &shard_store, &base)?;
-                            println!(
-                                "shard {idx}: {} executed, {} skipped, {} pending",
-                                outcome.executed, outcome.skipped, outcome.pending
-                            );
+                            print_outcome(&run_campaign(&campaign, &shard_store, &base)?);
                         }
                         Some(ProcessFault::KillAfterBytes(after_bytes)) => {
                             let opts = RunOptions {
@@ -1139,11 +1156,7 @@ pub fn run(command: Command) -> Result<(), Box<dyn Error>> {
                             };
                             // The injected io::Error surfaces as a plain
                             // runtime error: worker exits 1, nothing torn.
-                            let outcome = run_campaign(&campaign, &shard_store, &opts)?;
-                            println!(
-                                "shard {idx}: {} executed, {} skipped, {} pending",
-                                outcome.executed, outcome.skipped, outcome.pending
-                            );
+                            print_outcome(&run_campaign(&campaign, &shard_store, &opts)?);
                         }
                         Some(ProcessFault::PoisonUnit(_))
                         | Some(ProcessFault::PoisonIndex(_)) => {
@@ -1170,13 +1183,7 @@ pub fn run(command: Command) -> Result<(), Box<dyn Error>> {
                                     // it: everything before it is fsynced.
                                     std::process::abort();
                                 }
-                                other => {
-                                    let outcome = other?;
-                                    println!(
-                                        "shard {idx}: {} executed, {} skipped, {} pending",
-                                        outcome.executed, outcome.skipped, outcome.pending
-                                    );
-                                }
+                                other => print_outcome(&other?),
                             }
                         }
                         Some(ProcessFault::ExitAfterUnits(k))
@@ -1218,14 +1225,7 @@ pub fn run(command: Command) -> Result<(), Box<dyn Error>> {
                         merge_stores(&campaign, &shard_stores, &out_store)?
                     };
                     if metrics_out.is_some() {
-                        let mut app =
-                            EventLedger::for_store(Path::new(&out_path)).appender()?;
-                        app.append(Event::Merge {
-                            shards: outcome.shards,
-                            merged: outcome.merged,
-                            sealed: outcome.sealed,
-                        })?;
-                        app.sync()?;
+                        log_merge(&out_path, &outcome)?;
                     }
                     println!(
                         "merged {} units from {} shard stores into {out_path}",
@@ -1297,11 +1297,7 @@ pub fn run(command: Command) -> Result<(), Box<dyn Error>> {
                             steal_after_ms,
                             progress,
                             progress_json: json,
-                            events: metrics_out.as_ref().map(|_| {
-                                EventLedger::for_store(Path::new(&store_path))
-                                    .path()
-                                    .to_path_buf()
-                            }),
+                            events: events_for(&store_path),
                         };
                         println!(
                             "campaign `{}`: {} shards × {} workers over {} units \
@@ -1342,14 +1338,7 @@ pub fn run(command: Command) -> Result<(), Box<dyn Error>> {
                         } else {
                             let merged = merge_manifest(&campaign, &man, &result_store)?;
                             if metrics_out.is_some() {
-                                let mut app = EventLedger::for_store(Path::new(&store_path))
-                                    .appender()?;
-                                app.append(Event::Merge {
-                                    shards: merged.shards,
-                                    merged: merged.merged,
-                                    sealed: merged.sealed,
-                                })?;
-                                app.sync()?;
+                                log_merge(&store_path, &merged)?;
                             }
                             println!(
                                 "merged {} units into {store_path} (sealed: {}); \
@@ -1370,11 +1359,7 @@ pub fn run(command: Command) -> Result<(), Box<dyn Error>> {
                         fault: None,
                         shard: None,
                         poison: None,
-                        events: metrics_out.as_ref().map(|_| {
-                            EventLedger::for_store(Path::new(&store_path))
-                                .path()
-                                .to_path_buf()
-                        }),
+                        events: events_for(&store_path),
                         slow_unit: None,
                     };
                     println!(
@@ -1474,9 +1459,7 @@ pub fn run(command: Command) -> Result<(), Box<dyn Error>> {
         Command::Certify { store, spec, level, sample, seed, out } => {
             use dynring_campaign::{certify, render_verdict, CertifyOptions, ResultStore};
 
-            let spec_json = std::fs::read_to_string(&spec)?;
-            let campaign: dynring_campaign::CampaignSpec = serde_json::from_str(&spec_json)
-                .map_err(|e| CliError(format!("cannot parse campaign spec {spec}: {e}")))?;
+            let campaign = load_spec(&spec)?;
             println!(
                 "certifying {store} against spec {spec} at level {level}{}…",
                 if level >= 2 {
